@@ -6,18 +6,25 @@
 // Three modes:
 //   * default: the google-benchmark suite below.
 //   * --emit_json=PATH [--threads=1,2] [--min_time=0.2]: times every
-//     tape/fused pair and writes machine-readable rows (op, shape, impl,
-//     threads, ns/iter, speedup of fused over tape) to PATH.
-//     tools/run_bench.sh --kernels wraps this and checks BENCH_kernels.json
-//     in at the repo root.
-//   * --check_regress=BASELINE [--regress_tolerance=0.10]: re-times the
-//     fused rows and fails (exit 1) when any is slower than the checked-in
-//     baseline beyond the tolerance. Exits 77 (ctest SKIP) with a loud note
-//     on single-core machines, where a shared core makes wall-clock
-//     comparisons pure noise.
+//     tape/fused pair in 15 alternating rounds, each side at least min_time
+//     seconds a round, and takes the median per-round speedup of fused over
+//     tape; repeats that in five passes and keeps each row's slowest pass. Writes this machine's record (machine fingerprint; per
+//     row op, shape, impl, threads, median ns/iter, median speedup) into
+//     PATH, replacing the record with the same fingerprint and keeping the
+//     others. tools/run_bench.sh --kernels wraps this for BENCH_kernels.json
+//     at the repo root.
+//   * --check_regress=BASELINE [--regress_tolerance=0.10]: runs the same
+//     timing and gates the in-run speedups, never absolute times (those move
+//     across hardware and between runs on one host). serve_forward must be
+//     at least 1.5x tape on any machine; when a BASELINE record carries this
+//     machine's fingerprint, every row must reach its recorded speedup x
+//     (1 - tolerance). Rows with neither floor are reported as ungated. Exit
+//     1 on a failure. Blind spot: a slowdown shared by both sides (a slower
+//     GEMM backend, say) leaves the ratios where they were.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -25,6 +32,7 @@
 #include <functional>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -221,20 +229,23 @@ struct BenchCase {
   std::function<void()> fused_fn;
 };
 
-int HardwareCores() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
+/// Times `fn` for at least `min_seconds` of wall clock, however many
+/// iterations that takes, and returns ns per iteration.
 double TimeNsPerIter(const std::function<void()>& fn, double min_seconds) {
-  fn();  // warmup
   Stopwatch stopwatch;
-  int iters = 0;
+  int64_t iters = 0;
   do {
     fn();
     ++iters;
-  } while (stopwatch.ElapsedSeconds() < min_seconds && iters < 200);
-  return stopwatch.ElapsedSeconds() * 1e9 / iters;
+  } while (stopwatch.ElapsedSeconds() < min_seconds);
+  return stopwatch.ElapsedSeconds() * 1e9 / static_cast<double>(iters);
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
 }
 
 /// The benchmark pairs. Held behind a function so both --emit_json and
@@ -352,160 +363,338 @@ std::vector<BenchCase> BuildCases(BenchFixtures* fx) {
   return cases;
 }
 
+/// Rounds per timing run; see RunCases.
+constexpr int kRounds = 15;
+
+/// The one timing routine behind both --emit_json and --check_regress.
+/// A round times, case after case, the tape side and the fused side for at
+/// least `min_seconds` each, flipping which side goes first every round; so
+/// each case's rounds spread over the whole run, and a change in the host's
+/// load hits both sides and every case alike. The fused row carries the
+/// median of the case's per-round speedups — a ratio measured in one run,
+/// which holds still on a host whose absolute times do not — and both rows
+/// carry their median ns/iter for information.
 std::vector<BenchRow> RunCases(const std::vector<BenchCase>& cases,
                                const std::vector<int>& thread_counts,
                                double min_seconds) {
   std::vector<BenchRow> rows;
-  for (const BenchCase& bench : cases) {
-    for (const int threads : thread_counts) {
-      SetGlobalThreads(threads);
-      const double tape_ns = TimeNsPerIter(bench.tape_fn, min_seconds);
-      const double fused_ns = TimeNsPerIter(bench.fused_fn, min_seconds);
+  for (const int threads : thread_counts) {
+    SetGlobalThreads(threads);
+    for (const BenchCase& bench : cases) {
+      bench.tape_fn();  // warm-up: arena growth, first touch of the weights
+      bench.fused_fn();
+    }
+    std::vector<std::vector<double>> tape_ns(cases.size());
+    std::vector<std::vector<double>> fused_ns(cases.size());
+    std::vector<std::vector<double>> speedups(cases.size());
+    for (int round = 0; round < kRounds; ++round) {
+      for (size_t c = 0; c < cases.size(); ++c) {
+        if (round % 2 == 0) {
+          tape_ns[c].push_back(TimeNsPerIter(cases[c].tape_fn, min_seconds));
+          fused_ns[c].push_back(
+              TimeNsPerIter(cases[c].fused_fn, min_seconds));
+        } else {
+          fused_ns[c].push_back(
+              TimeNsPerIter(cases[c].fused_fn, min_seconds));
+          tape_ns[c].push_back(TimeNsPerIter(cases[c].tape_fn, min_seconds));
+        }
+        speedups[c].push_back(tape_ns[c].back() / fused_ns[c].back());
+      }
+    }
+    for (size_t c = 0; c < cases.size(); ++c) {
       BenchRow tape_row;
-      tape_row.op = bench.op;
-      tape_row.shape = bench.shape;
+      tape_row.op = cases[c].op;
+      tape_row.shape = cases[c].shape;
       tape_row.impl = "tape";
       tape_row.threads = threads;
-      tape_row.ns_per_iter = tape_ns;
+      tape_row.ns_per_iter = Median(tape_ns[c]);
       tape_row.speedup_vs_tape = 1.0;
       rows.push_back(tape_row);
       BenchRow fused_row = tape_row;
       fused_row.impl = "fused";
-      fused_row.ns_per_iter = fused_ns;
-      fused_row.speedup_vs_tape = tape_ns / fused_ns;
+      fused_row.ns_per_iter = Median(fused_ns[c]);
+      fused_row.speedup_vs_tape = Median(speedups[c]);
       rows.push_back(fused_row);
-      std::cerr << bench.op << " " << bench.shape << " t=" << threads
-                << ": tape " << tape_ns << " ns/iter, fused " << fused_ns
-                << " ns/iter (x" << fused_row.speedup_vs_tape << ")\n";
+      const auto [lo, hi] =
+          std::minmax_element(speedups[c].begin(), speedups[c].end());
+      std::cerr << tape_row.op << " " << tape_row.shape << " t=" << threads
+                << ": tape " << tape_row.ns_per_iter << " ns/iter, fused "
+                << fused_row.ns_per_iter << " ns/iter, median speedup x"
+                << fused_row.speedup_vs_tape << " over " << kRounds
+                << " rounds (x" << *lo << "..x" << *hi << ")\n";
     }
   }
   SetGlobalThreads(0);
   return rows;
 }
 
-int WriteJson(const std::vector<BenchRow>& rows, const std::string& path) {
+/// Passes per record; see RecordRows.
+constexpr int kRecordPasses = 5;
+
+/// The rows of a record: the timing above, run kRecordPasses times, keeping
+/// per row the pass with the lowest fused speedup. The host's load moves the
+/// speedups by several percent over minutes, so a record taken in one lucky
+/// pass would leave the gate's tolerance no room; the slowest pass the
+/// recording saw does.
+std::vector<BenchRow> RecordRows(const std::vector<BenchCase>& cases,
+                                 const std::vector<int>& thread_counts,
+                                 double min_seconds) {
+  std::vector<BenchRow> rows = RunCases(cases, thread_counts, min_seconds);
+  for (int pass = 1; pass < kRecordPasses; ++pass) {
+    const std::vector<BenchRow> next =
+        RunCases(cases, thread_counts, min_seconds);
+    for (size_t i = 1; i < rows.size(); i += 2) {  // (tape, fused) pairs
+      if (next[i].speedup_vs_tape < rows[i].speedup_vs_tape) {
+        rows[i - 1] = next[i - 1];
+        rows[i] = next[i];
+      }
+    }
+  }
+  return rows;
+}
+
+std::string JsonString(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
+}
+
+/// The machine this binary runs on, with the fields and values of
+/// fingerprint() in hirebench/run.py: CPU model and ISA flags from
+/// /proc/cpuinfo, logical cores (online CPUs, so `taskset` does not change
+/// it), the compiler's `--version` line and the build type (both stamped in
+/// by bench/CMakeLists.txt). Serialised as one line of JSON; a record belongs
+/// to this machine when its fingerprint line is equal.
+std::string MachineFingerprint() {
+  std::string cpu_model = "unknown";
+  std::set<std::string> flags;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const std::string key = Trim(line.substr(0, colon));
+    if (key == "model name" && cpu_model == "unknown") {
+      cpu_model = Trim(line.substr(colon + 1));
+    } else if (key == "flags" && flags.empty()) {
+      std::istringstream words(line.substr(colon + 1));
+      for (std::string flag; words >> flag;) flags.insert(flag);
+    }
+  }
+  std::vector<std::string> isa;
+  for (const char* flag : {"amx_tile", "avx", "avx2", "avx512_vnni", "avx512bw",
+                           "avx512f", "avx512vl", "fma", "sse4_2"}) {
+    if (flags.count(flag) > 0) isa.push_back(JsonString(flag));
+  }
+  const unsigned nproc = std::thread::hardware_concurrency();
+  std::ostringstream out;
+  out << "{\"cpu_model\": " << JsonString(cpu_model)
+      << ", \"nproc\": " << (nproc == 0 ? 1 : nproc) << ", \"isa\": ["
+      << Join(isa, ", ") << "], \"compiler\": "
+      << JsonString(HIRE_CXX_COMPILER_VERSION)
+      << ", \"build_type\": " << JsonString(HIRE_BUILD_TYPE) << "}";
+  return out.str();
+}
+
+/// One record of BENCH_kernels.json: the rows one --emit_json run measured
+/// on one machine. The file is a JSON array of records; each record starts
+/// with a "{" line and ends with a "}" (or "},") line at column 0, and the
+/// array brackets sit on lines of their own. A file holding one bare record
+/// (the format before fingerprints) reads as a one-record file.
+struct Record {
+  std::string text;         // verbatim, so a rewrite keeps it byte for byte
+  std::string fingerprint;  // empty when it has none: matches no machine
+  std::vector<BenchRow> rows;
+};
+
+/// Minimal parser for the JSON this binary writes: one result object per
+/// line, string values without escapes.
+BenchRow ParseRow(const std::string& line) {
+  auto string_field = [&line](const std::string& key) {
+    const std::string needle = "\"" + key + "\": \"";
+    const size_t at = line.find(needle);
+    if (at == std::string::npos) return std::string();
+    const size_t begin = at + needle.size();
+    return line.substr(begin, line.find('"', begin) - begin);
+  };
+  auto number_field = [&line](const std::string& key) {
+    const std::string needle = "\"" + key + "\": ";
+    const size_t at = line.find(needle);
+    if (at == std::string::npos) return 0.0;
+    return std::strtod(line.c_str() + at + needle.size(), nullptr);
+  };
+  BenchRow row;
+  row.op = string_field("op");
+  row.shape = string_field("shape");
+  row.impl = string_field("impl");
+  row.threads = static_cast<int>(number_field("threads"));
+  row.ns_per_iter = number_field("ns_per_iter");
+  row.speedup_vs_tape = number_field("speedup_vs_tape");
+  return row;
+}
+
+std::vector<Record> ReadRecords(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<Record> records;
+  bool open = false;
+  const std::string fingerprint_key = "\"fingerprint\": ";
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line == "{") {
+      records.emplace_back();
+      open = true;
+    }
+    if (!open) continue;
+    Record& record = records.back();
+    if (line == "}" || line == "},") {
+      record.text += "}";
+      open = false;
+      continue;
+    }
+    record.text += line + "\n";
+    const size_t at = line.find(fingerprint_key);
+    if (at != std::string::npos) {
+      const size_t begin = at + fingerprint_key.size();
+      record.fingerprint = line.substr(begin, line.rfind('}') + 1 - begin);
+    } else if (line.find("\"op\"") != std::string::npos) {
+      record.rows.push_back(ParseRow(line));
+    }
+  }
+  if (open) records.pop_back();  // truncated: no closing line
+  return records;
+}
+
+/// Writes this machine's record into PATH, replacing the record with the
+/// same fingerprint (or, on a machine PATH has not seen, going first) and
+/// keeping every other record verbatim.
+int EmitJson(const std::vector<BenchRow>& rows, const std::string& path,
+             double min_seconds) {
+  const std::string fingerprint = MachineFingerprint();
+  std::ostringstream record;
+  record << "{\n"
+         << "  \"generated_by\": \"bench_kernels --emit_json\",\n"
+         << "  \"fingerprint\": " << fingerprint << ",\n"
+         << "  \"rounds\": " << kRounds << ",\n"
+         << "  \"passes\": " << kRecordPasses << ",\n"
+         << "  \"min_time_s\": " << min_seconds << ",\n"
+         << "  \"results\": [\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const BenchRow& row = rows[i];
+    record << "    {\"op\": \"" << row.op << "\", \"shape\": \"" << row.shape
+           << "\", \"impl\": \"" << row.impl << "\", \"threads\": "
+           << row.threads << ", \"ns_per_iter\": "
+           << static_cast<int64_t>(row.ns_per_iter)
+           << ", \"speedup_vs_tape\": " << row.speedup_vs_tape << "}"
+           << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  record << "  ]\n}";
+
+  std::vector<std::string> texts;
+  bool replaced = false;
+  for (const Record& old : ReadRecords(path)) {
+    if (old.fingerprint == fingerprint) {
+      texts.push_back(record.str());
+      replaced = true;
+    } else {
+      texts.push_back(old.text);
+    }
+  }
+  if (!replaced) texts.insert(texts.begin(), record.str());
+
   std::ofstream out(path);
   if (!out.is_open()) {
     std::cerr << "cannot write " << path << "\n";
     return 1;
   }
-  out << "{\n"
-      << "  \"generated_by\": \"bench_kernels --emit_json\",\n"
-      << "  \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency() << ",\n"
-      << "  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const BenchRow& row = rows[i];
-    out << "    {\"op\": \"" << row.op << "\", \"shape\": \"" << row.shape
-        << "\", \"impl\": \"" << row.impl << "\", \"threads\": "
-        << row.threads << ", \"ns_per_iter\": "
-        << static_cast<int64_t>(row.ns_per_iter) << ", \"speedup_vs_tape\": "
-        << row.speedup_vs_tape << "}" << (i + 1 < rows.size() ? "," : "")
-        << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cerr << "wrote " << rows.size() << " rows to " << path << "\n";
+  out << "[\n" << Join(texts, ",\n") << "\n]\n";
+  std::cerr << (replaced ? "replaced" : "added") << " the record for "
+            << fingerprint << " in " << path << " (" << texts.size()
+            << " records)\n";
   return 0;
 }
 
-/// Minimal parser for the JSON this binary writes: one result object per
-/// line, string values without escapes. Good enough for the regression gate
-/// reading its own checked-in baseline.
-std::vector<BenchRow> ParseBaseline(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<BenchRow> rows;
-  if (!in.is_open()) return rows;
-  std::string line;
-  auto string_field = [](const std::string& text, const std::string& key) {
-    const std::string needle = "\"" + key + "\": \"";
-    const size_t at = text.find(needle);
-    if (at == std::string::npos) return std::string();
-    const size_t begin = at + needle.size();
-    return text.substr(begin, text.find('"', begin) - begin);
-  };
-  auto number_field = [](const std::string& text, const std::string& key) {
-    const std::string needle = "\"" + key + "\": ";
-    const size_t at = text.find(needle);
-    if (at == std::string::npos) return 0.0;
-    return std::strtod(text.c_str() + at + needle.size(), nullptr);
-  };
-  while (std::getline(in, line)) {
-    if (line.find("\"op\"") == std::string::npos) continue;
-    BenchRow row;
-    row.op = string_field(line, "op");
-    row.shape = string_field(line, "shape");
-    row.impl = string_field(line, "impl");
-    row.threads = static_cast<int>(number_field(line, "threads"));
-    row.ns_per_iter = number_field(line, "ns_per_iter");
-    row.speedup_vs_tape = number_field(line, "speedup_vs_tape");
-    rows.push_back(row);
-  }
-  return rows;
-}
+/// DESIGN.md "Inference path": the fused serve forward must be at least
+/// this many times faster than the tape forward, on any machine.
+constexpr double kServeForwardMinSpeedup = 1.5;
 
+/// Gates the in-run fused/tape speedups. serve_forward must reach
+/// kServeForwardMinSpeedup everywhere; when a record in BASELINE carries
+/// this machine's fingerprint, every row must also reach its recorded
+/// speedup x (1 - tolerance). Absolute times are never compared.
 int CheckRegress(const std::string& baseline_path, double tolerance,
-                 double min_seconds) {
-  if (HardwareCores() == 1) {
-    std::cerr
-        << "\n"
-        << "============================================================\n"
-        << "kernel_regress: SKIPPED — this machine exposes a single\n"
-        << "effective core, so kernel wall-clock times are dominated by\n"
-        << "whatever else shares the core and a 10% gate would flap.\n"
-        << "Run on a multi-core box to enforce the baseline.\n"
-        << "============================================================\n";
-    return 77;  // ctest SKIP_RETURN_CODE
-  }
-  const std::vector<BenchRow> baseline = ParseBaseline(baseline_path);
-  if (baseline.empty()) {
+                 const std::vector<int>& thread_counts, double min_seconds) {
+  const std::vector<Record> records = ReadRecords(baseline_path);
+  if (records.empty()) {
     std::cerr << "kernel_regress: cannot read baseline " << baseline_path
               << " (regenerate with tools/run_bench.sh --kernels)\n";
     return 1;
   }
-  std::map<std::tuple<std::string, std::string, int>, double> baseline_ns;
-  for (const BenchRow& row : baseline) {
-    if (row.impl == "fused") {
-      baseline_ns[{row.op, row.shape, row.threads}] = row.ns_per_iter;
-    }
-  }
-
-  BenchFixtures fixtures;
-  const std::vector<BenchCase> cases = BuildCases(&fixtures);
-  int failures = 0;
-  int compared = 0;
-  for (const BenchCase& bench : cases) {
-    for (const auto& [key, base_ns] : baseline_ns) {
-      const auto& [op, shape, threads] = key;
-      if (op != bench.op || shape != bench.shape) continue;
-      if (threads > HardwareCores()) continue;  // oversubscribed baseline row
-      SetGlobalThreads(threads);
-      const double ns = TimeNsPerIter(bench.fused_fn, min_seconds);
-      ++compared;
-      if (ns > base_ns * (1.0 + tolerance)) {
-        std::cerr << "kernel_regress FAIL: " << op << " " << shape
-                  << " t=" << threads << " fused " << ns << " ns/iter vs "
-                  << base_ns << " ns/iter baseline (tolerance "
-                  << tolerance * 100 << "%)\n";
-        ++failures;
-      } else {
-        std::cerr << "kernel_regress ok: " << op << " " << shape << " t="
-                  << threads << " fused " << ns << " ns/iter (baseline "
-                  << base_ns << ")\n";
+  const std::string fingerprint = MachineFingerprint();
+  std::map<std::tuple<std::string, std::string, int>, double> recorded;
+  for (const Record& record : records) {
+    if (record.fingerprint != fingerprint) continue;
+    for (const BenchRow& row : record.rows) {
+      if (row.impl == "fused") {
+        recorded[{row.op, row.shape, row.threads}] = row.speedup_vs_tape;
       }
     }
   }
-  SetGlobalThreads(0);
-  if (compared == 0) {
-    std::cerr << "kernel_regress: no comparable fused rows in "
-              << baseline_path << "\n";
+  std::cerr << "kernel_regress: machine " << fingerprint << " "
+            << (recorded.empty() ? "matches no record" : "matches a record")
+            << " in " << baseline_path << "\n";
+
+  BenchFixtures fixtures;
+  const std::vector<BenchRow> rows =
+      RunCases(BuildCases(&fixtures), thread_counts, min_seconds);
+  int failures = 0;
+  int gated = 0;
+  std::vector<std::string> ungated;
+  for (const BenchRow& row : rows) {
+    if (row.impl != "fused") continue;
+    const std::string label =
+        row.op + " " + row.shape + " t=" + std::to_string(row.threads);
+    double floor = 0.0;
+    std::string why;
+    if (row.op == "serve_forward") {
+      floor = kServeForwardMinSpeedup;
+      why = "design bar";
+    }
+    const auto it = recorded.find({row.op, row.shape, row.threads});
+    if (it != recorded.end() && it->second * (1.0 - tolerance) > floor) {
+      floor = it->second * (1.0 - tolerance);
+      why = "recorded x" + FormatDouble(it->second, 3) + " - " +
+            FormatDouble(tolerance * 100, 0) + "%";
+    }
+    if (floor == 0.0) {
+      ungated.push_back(label);
+      continue;
+    }
+    ++gated;
+    const bool ok = row.speedup_vs_tape >= floor;
+    if (!ok) ++failures;
+    std::cerr << (ok ? "kernel_regress ok: " : "kernel_regress FAIL: ")
+              << label << " fused x" << FormatDouble(row.speedup_vs_tape, 3)
+              << " of tape, floor x" << FormatDouble(floor, 3) << " (" << why
+              << ")\n";
+  }
+  if (!ungated.empty()) {
+    std::cerr << "kernel_regress: ungated (no record for this machine, no "
+                 "cross-machine floor): "
+              << Join(ungated, ", ")
+              << ". Record this machine with tools/run_bench.sh --kernels;"
+                 " it rewrites only this machine's record.\n";
+  }
+  if (failures > 0) {
+    std::cerr << "kernel_regress: FAIL (" << failures << " of " << gated
+              << " gated rows below their floor)\n";
     return 1;
   }
-  if (failures == 0) {
-    std::cerr << "kernel_regress: PASS (" << compared
-              << " fused rows within " << tolerance * 100
-              << "% of baseline)\n";
-  }
-  return failures == 0 ? 0 : 1;
+  std::cerr << "kernel_regress: PASS (" << gated
+            << " rows gated on in-run fused/tape speedups)\n";
+  return 0;
 }
 
 }  // namespace
@@ -543,13 +732,14 @@ int main(int argc, char** argv) {
   }
 
   if (!check_regress.empty()) {
-    return CheckRegress(check_regress, regress_tolerance, min_seconds);
+    return CheckRegress(check_regress, regress_tolerance, thread_counts,
+                        min_seconds);
   }
   if (!emit_json.empty()) {
     BenchFixtures fixtures;
-    return WriteJson(RunCases(BuildCases(&fixtures), thread_counts,
-                              min_seconds),
-                     emit_json);
+    return EmitJson(
+        RecordRows(BuildCases(&fixtures), thread_counts, min_seconds),
+        emit_json, min_seconds);
   }
 
   int passthrough_argc = static_cast<int>(passthrough.size());
