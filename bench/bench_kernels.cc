@@ -117,8 +117,8 @@ void BM_FusedAttention(benchmark::State& state) {
   std::vector<float> scratch(
       static_cast<size_t>(packed.ScratchFloats(16, tokens)));
   for (auto _ : state) {
-    nn::FusedAttentionForward(packed, x.data(), 16, tokens, out.data(),
-                              scratch.data());
+    nn::FusedAttentionForward(packed, x.data(), 16, tokens, tokens,
+                              out.data(), scratch.data());
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -176,7 +176,8 @@ void BM_OnlineSoftmaxWeightedSum(benchmark::State& state) {
     for (int64_t s = 0; s < batch; ++s) {
       ops::OnlineSoftmaxWeightedSumInto(
           q.data() + s * 256, 16, k.data() + s * 256, 16,
-          v.data() + s * 256, 16, out.data() + s * 256, 16, 16, 16, 0.25f);
+          v.data() + s * 256, 16, out.data() + s * 256, 16, 16, 16, 16,
+          0.25f);
     }
     benchmark::DoNotOptimize(out.data());
   }
@@ -195,6 +196,8 @@ void BM_TapeServeForward(benchmark::State& state) {
 }
 BENCHMARK(BM_TapeServeForward);
 
+// Arg: query rows — 16 is the full forward, 1 what cold-start evaluation
+// reads (one target user per context).
 void BM_FusedServeForward(benchmark::State& state) {
   data::Dataset dataset = BenchDataset();
   core::HireConfig config;
@@ -203,11 +206,13 @@ void BM_FusedServeForward(benchmark::State& state) {
   const core::InferenceModel fused(model);
   core::InferenceArena arena;
   graph::PredictionContext context = BenchContext(dataset, 16, 16, 7);
+  const int64_t query_rows = state.range(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fused.Predict(context, &arena).data());
+    benchmark::DoNotOptimize(
+        fused.Predict(context, &arena, query_rows).data());
   }
 }
-BENCHMARK(BM_FusedServeForward);
+BENCHMARK(BM_FusedServeForward)->Arg(16)->Arg(1);
 
 // ---------------------------------------------------------------------------
 // JSON harness (--emit_json) and the regression gate (--check_regress).
@@ -315,7 +320,7 @@ std::vector<BenchCase> BuildCases(BenchFixtures* fx) {
        },
        [fx] {
          nn::FusedAttentionForward(fx->packed, fx->mhsa_x.data(), 16, 16,
-                                   fx->mhsa_out.data(),
+                                   16, fx->mhsa_out.data(),
                                    fx->mhsa_scratch.data());
          benchmark::DoNotOptimize(fx->mhsa_out.data());
        }});
@@ -347,7 +352,7 @@ std::vector<BenchCase> BuildCases(BenchFixtures* fx) {
            ops::OnlineSoftmaxWeightedSumInto(
                fx->attn_q.data() + s * 256, 16, fx->attn_k.data() + s * 256,
                16, fx->attn_v.data() + s * 256, 16,
-               fx->attn_out.data() + s * 256, 16, 16, 16, 0.25f);
+               fx->attn_out.data() + s * 256, 16, 16, 16, 16, 0.25f);
          }
          benchmark::DoNotOptimize(fx->attn_out.data());
        }});

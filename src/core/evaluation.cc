@@ -156,10 +156,12 @@ std::vector<float> HirePredictor::PredictForUser(
 
     // Fused tape-free forward (packed once, first call). Falls within 1e-5
     // of model_->Predict — see the equivalence tests in tests/core_test.cc.
+    // Only the target user's row is read, so only row 0 is computed.
     if (inference_ == nullptr) {
       inference_ = std::make_unique<InferenceModel>(*model_);
     }
-    const Tensor& predicted = inference_->Predict(context, &arena_);
+    const Tensor& predicted =
+        inference_->Predict(context, &arena_, /*query_rows=*/1);
 
     // The seed user is the first row; seed items are the first columns
     // (samplers preserve seed order).

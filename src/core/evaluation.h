@@ -77,8 +77,9 @@ void ThinObservedCells(graph::PredictionContext* context, int64_t keep_rows,
 
 /// Adapter exposing a trained HireModel through RatingPredictor: builds a
 /// prediction context seeded with (user, query items), assembles visible
-/// ratings, and reads the predicted cells off the decoded rating matrix.
-/// Query lists longer than the item budget are processed in chunks.
+/// ratings, and reads the predicted cells off the decoded rating matrix —
+/// of which only the target user's row 0 is computed. Query lists longer
+/// than the item budget are processed in chunks.
 ///
 /// Prediction is stateless: the context rows are sampled once per user from
 /// a seed derived from (seed, user) and reused across every chunk, and the

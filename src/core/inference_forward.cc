@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -287,29 +288,34 @@ void InferenceModel::EncodeInto(const graph::PredictionContext& context,
 }
 
 void InferenceModel::BlockForward(const BlockWeights& block, float* h,
-                                  int64_t n, int64_t m,
+                                  int64_t n, int64_t m, int64_t query_rows,
                                   InferenceArena* arena) const {
   const int64_t e = cell_embed_dim_;
   const int64_t cells = n * m;
+  // Only rows [0, query_rows) leave the block: MBU reads keys and values
+  // from all n rows, everything after it is row-local.
+  const int64_t out_cells = query_rows * m;
   const InferenceArena::Mark mark = arena->CurrentMark();
 
-  // Residual + (optional) layer norm, writing the sublayer result back into
-  // h. Addition is commutative, so `fused + h` is bitwise the tape's
-  // Add(current, fused).
+  // Residual + (optional) layer norm over the first out_cells cells,
+  // writing the sublayer result back into h. Addition is commutative, so
+  // `fused + h` is bitwise the tape's Add(current, fused).
   auto finish = [&](const float* fused, const NormWeights& norm) {
     ScopedKernelTimer timer(KernelCategory::kInferArena);
     float* merged = const_cast<float*>(fused);
     if (config_.use_residual) {
-      for (int64_t i = 0; i < cells * e; ++i) merged[i] += h[i];
+      for (int64_t i = 0; i < out_cells * e; ++i) merged[i] += h[i];
     }
     if (norm.present) {
-      LayerNormInto(merged, norm.gamma.data(), norm.beta.data(), h, cells, e);
+      LayerNormInto(merged, norm.gamma.data(), norm.beta.data(), h,
+                    out_cells, e);
     } else {
-      std::copy(merged, merged + cells * e, h);
+      std::copy(merged, merged + out_cells * e, h);
     }
   };
 
-  // MBU: transpose to [m, n, e] so items batch sequences of n user tokens.
+  // MBU: transpose to [m, n, e] so items batch sequences of n user tokens,
+  // the first query_rows of which are queries.
   if (block.has_user) {
     float* views = arena->Alloc(cells * e);
     {
@@ -321,14 +327,16 @@ void InferenceModel::BlockForward(const BlockWeights& block, float* h,
         }
       }
     }
-    float* attn = arena->Alloc(cells * e);
+    float* attn = arena->Alloc(out_cells * e);  // [m, query_rows, e]
     float* scratch = arena->Alloc(block.user.ScratchFloats(m, n));
-    nn::FusedAttentionForward(block.user, views, m, n, attn, scratch);
+    nn::FusedAttentionForward(block.user, views, m, n, query_rows, attn,
+                              scratch);
     {
       ScopedKernelTimer timer(KernelCategory::kInferArena);
       for (int64_t j = 0; j < m; ++j) {
-        for (int64_t k = 0; k < n; ++k) {
-          std::copy(attn + (j * n + k) * e, attn + (j * n + k) * e + e,
+        for (int64_t k = 0; k < query_rows; ++k) {
+          std::copy(attn + (j * query_rows + k) * e,
+                    attn + (j * query_rows + k) * e + e,
                     views + (k * m + j) * e);
         }
       }
@@ -338,19 +346,20 @@ void InferenceModel::BlockForward(const BlockWeights& block, float* h,
 
   // MBI: users already batch sequences of m item tokens.
   if (block.has_item) {
-    float* attn = arena->Alloc(cells * e);
-    float* scratch = arena->Alloc(block.item.ScratchFloats(n, m));
-    nn::FusedAttentionForward(block.item, h, n, m, attn, scratch);
+    float* attn = arena->Alloc(out_cells * e);
+    float* scratch = arena->Alloc(block.item.ScratchFloats(query_rows, m));
+    nn::FusedAttentionForward(block.item, h, query_rows, m, m, attn,
+                              scratch);
     finish(attn, block.item_norm);
   }
 
   // MBA: reinterpret [n, m, e] as [n*m, h, f] — free, row-major layout.
   if (block.has_attr) {
-    float* attn = arena->Alloc(cells * e);
-    float* scratch =
-        arena->Alloc(block.attr.ScratchFloats(cells, num_attribute_slots_));
-    nn::FusedAttentionForward(block.attr, h, cells, num_attribute_slots_,
-                              attn, scratch);
+    float* attn = arena->Alloc(out_cells * e);
+    float* scratch = arena->Alloc(
+        block.attr.ScratchFloats(out_cells, num_attribute_slots_));
+    nn::FusedAttentionForward(block.attr, h, out_cells, num_attribute_slots_,
+                              num_attribute_slots_, attn, scratch);
     finish(attn, block.attr_norm);
   }
 
@@ -358,12 +367,16 @@ void InferenceModel::BlockForward(const BlockWeights& block, float* h,
 }
 
 const Tensor& InferenceModel::Predict(const graph::PredictionContext& context,
-                                      InferenceArena* arena) const {
+                                      InferenceArena* arena,
+                                      int64_t query_rows) const {
   HIRE_CHECK(arena != nullptr);
   const int64_t n = context.num_users();
   const int64_t m = context.num_items();
   HIRE_CHECK_GT(n, 0);
   HIRE_CHECK_GT(m, 0);
+  const int64_t q = query_rows == kAllRows ? n : query_rows;
+  HIRE_CHECK(q >= 1 && q <= n)
+      << "query_rows " << query_rows << " of " << n << " context rows";
 
   arena->Reset();
   Tensor& out = arena->output(n, m);
@@ -372,15 +385,19 @@ const Tensor& InferenceModel::Predict(const graph::PredictionContext& context,
     ScopedKernelTimer timer(KernelCategory::kInferArena);
     EncodeInto(context, h);
   }
-  for (const BlockWeights& block : blocks_) {
-    BlockForward(block, h, n, m, arena);
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    BlockForward(blocks_[b], h, n, m, b + 1 == blocks_.size() ? q : n,
+                 arena);
   }
   // R_hat = alpha * sigmoid(decoder(h)) fused into the GEMM epilogue —
   // bitwise the tape's Linear -> Sigmoid -> MulScalar chain.
   ops::GemmBiasActInto(h, decoder_weight_.data(), decoder_bias_.data(),
-                       out.data(), n * m, cell_embed_dim_, 1,
+                       out.data(), q * m, cell_embed_dim_, 1,
                        /*b_transposed=*/false, ops::Activation::kSigmoid,
                        rating_scale_);
+  // Rows nobody asked for read as NaN, so a stray read fails loudly.
+  std::fill(out.data() + q * m, out.data() + n * m,
+            std::numeric_limits<float>::quiet_NaN());
   return out;
 }
 

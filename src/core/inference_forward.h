@@ -98,10 +98,25 @@ class InferenceModel {
   /// forward).
   explicit InferenceModel(const HireModel& model);
 
+  /// Passed as `query_rows`: compute every row of the rating matrix.
+  static constexpr int64_t kAllRows = -1;
+
   /// Predicted rating matrix [n, m], written into `arena->output`. The
   /// reference stays valid until the arena's next Predict.
+  ///
+  /// Only rows [0, query_rows) are computed (1 <= query_rows <= n, or
+  /// kAllRows for all n); the rest are quiet NaN. Every HIM block but the
+  /// last runs over all n rows. In the last one, MBU still takes keys and
+  /// values from all n rows but computes queries, attention, the output
+  /// projection, residual and layer norm only for the query rows; MBI, MBA
+  /// and the decoder then run over their query_rows * m cells. Each of
+  /// those steps is row-local and every GEMM row accumulates in the same
+  /// order whatever the row count, so the computed rows are bitwise equal
+  /// to the full forward's. The output keeps its [n, m] shape, so varying
+  /// query_rows never reallocates it.
   const Tensor& Predict(const graph::PredictionContext& context,
-                        InferenceArena* arena) const;
+                        InferenceArena* arena,
+                        int64_t query_rows = kAllRows) const;
 
   int64_t cell_embed_dim() const { return cell_embed_dim_; }
   const HireConfig& config() const { return config_; }
@@ -125,8 +140,11 @@ class InferenceModel {
   };
 
   void EncodeInto(const graph::PredictionContext& context, float* h) const;
+  /// One HIM block over h [n, m, e]; only rows [0, query_rows) of h are
+  /// updated (all n unless this is the last block).
   void BlockForward(const BlockWeights& block, float* h, int64_t n,
-                    int64_t m, InferenceArena* arena) const;
+                    int64_t m, int64_t query_rows,
+                    InferenceArena* arena) const;
 
   const data::Dataset* dataset_;
   HireConfig config_;

@@ -19,16 +19,17 @@ namespace {
 
 // Compile-time-specialised clone of ops::OnlineSoftmaxWeightedSumInto for
 // one (batch, head) sequence: q/k/v share the QKV buffer's token stride,
-// the output is written head-merged. The constant trip count lets the
-// compiler fully unroll the dot product and the accumulator updates; the
-// operation order is identical to the generic kernel (float additions are
-// never reassociated without -ffast-math), so specialised and fallback
-// results are bitwise equal.
+// the output is written head-merged, the first `queries` tokens attend over
+// all `tokens`. The constant trip count lets the compiler fully unroll the
+// dot product and the accumulator updates; the operation order is
+// identical to the generic kernel (float additions are never reassociated
+// without -ffast-math), so specialised and fallback results are bitwise
+// equal.
 template <int kDim>
 void AttendSequenceFixed(const float* q, const float* k, const float* v,
                          int64_t qkv_stride, float* out, int64_t out_stride,
-                         int64_t tokens, float scale) {
-  for (int64_t i = 0; i < tokens; ++i) {
+                         int64_t queries, int64_t tokens, float scale) {
+  for (int64_t i = 0; i < queries; ++i) {
     const float* qi = q + i * qkv_stride;
     float* oi = out + i * out_stride;
     for (int c = 0; c < kDim; ++c) oi[c] = 0.0f;  // see the generic kernel
@@ -39,13 +40,17 @@ void AttendSequenceFixed(const float* q, const float* k, const float* v,
       float dot = 0.0f;
       for (int p = 0; p < kDim; ++p) dot += qi[p] * kj[p];
       const float s = dot * scale;
+      float w = 1.0f;  // the generic kernel's constant-exp skips
       if (s > m) {
-        const float rescale = std::exp(m - s);
-        for (int c = 0; c < kDim; ++c) oi[c] *= rescale;
-        mass *= rescale;
+        if (j > 0) {
+          const float rescale = std::exp(m - s);
+          for (int c = 0; c < kDim; ++c) oi[c] *= rescale;
+          mass *= rescale;
+        }
         m = s;
+      } else {
+        w = std::exp(s - m);
       }
-      const float w = std::exp(s - m);
       mass += w;
       const float* vj = v + j * qkv_stride;
       for (int c = 0; c < kDim; ++c) oi[c] += w * vj[c];
@@ -57,28 +62,29 @@ void AttendSequenceFixed(const float* q, const float* k, const float* v,
 
 void AttendSequence(int64_t head_dim, const float* q, const float* k,
                     const float* v, int64_t qkv_stride, float* out,
-                    int64_t out_stride, int64_t tokens, float scale) {
+                    int64_t out_stride, int64_t queries, int64_t tokens,
+                    float scale) {
   switch (head_dim) {
     case 2:
-      AttendSequenceFixed<2>(q, k, v, qkv_stride, out, out_stride, tokens,
-                             scale);
+      AttendSequenceFixed<2>(q, k, v, qkv_stride, out, out_stride, queries,
+                             tokens, scale);
       return;
     case 4:
-      AttendSequenceFixed<4>(q, k, v, qkv_stride, out, out_stride, tokens,
-                             scale);
+      AttendSequenceFixed<4>(q, k, v, qkv_stride, out, out_stride, queries,
+                             tokens, scale);
       return;
     case 8:
-      AttendSequenceFixed<8>(q, k, v, qkv_stride, out, out_stride, tokens,
-                             scale);
+      AttendSequenceFixed<8>(q, k, v, qkv_stride, out, out_stride, queries,
+                             tokens, scale);
       return;
     case 16:
-      AttendSequenceFixed<16>(q, k, v, qkv_stride, out, out_stride, tokens,
-                              scale);
+      AttendSequenceFixed<16>(q, k, v, qkv_stride, out, out_stride, queries,
+                              tokens, scale);
       return;
     default:
       ops::OnlineSoftmaxWeightedSumInto(q, qkv_stride, k, qkv_stride, v,
-                                        qkv_stride, out, out_stride, tokens,
-                                        head_dim, scale);
+                                        qkv_stride, out, out_stride, queries,
+                                        tokens, head_dim, scale);
   }
 }
 
@@ -146,15 +152,19 @@ FusedAttentionWeights PackAttentionWeights(
 }
 
 void FusedAttentionForward(const FusedAttentionWeights& w, const float* x,
-                           int64_t batch, int64_t tokens, float* out,
-                           float* scratch) {
+                           int64_t batch, int64_t tokens, int64_t queries,
+                           float* out, float* scratch) {
+  HIRE_CHECK(queries > 0 && queries <= tokens)
+      << "queries " << queries << " of " << tokens << " tokens";
   const int64_t e = w.embed_dim;
   const int64_t inner = w.inner();
   const int64_t rows = batch * tokens;
-  float* qkv = scratch;                    // [rows, 3*inner]
-  float* merged = scratch + rows * 3 * inner;  // [rows, inner]
+  float* qkv = scratch;                        // [rows, 3*inner]
+  float* merged = scratch + rows * 3 * inner;  // [batch, queries, inner]
 
-  // Fused QKV projection: one GEMM instead of three Linear forwards.
+  // Fused QKV projection: one GEMM instead of three Linear forwards. It
+  // covers every token: keys and values need them all, and the packed
+  // weight stays whole, so rows >= queries also get unread query columns.
   ops::GemmBiasActInto(x, w.qkv_weight.data(), w.qkv_bias.data(), qkv, rows,
                        e, 3 * inner);
 
@@ -166,10 +176,11 @@ void FusedAttentionForward(const FusedAttentionWeights& w, const float* x,
     const float scale =
         1.0f / std::sqrt(static_cast<float>(w.head_dim));
     const int64_t sequences = batch * w.num_heads;
+    const double qt = static_cast<double>(queries);
     const double t = static_cast<double>(tokens);
     const double d = static_cast<double>(w.head_dim);
     const int64_t grain = PlanGrain(
-        sequences, {t * t * (4.0 * d + 40.0), 12.0 * t * d});
+        sequences, {qt * t * (4.0 * d + 40.0), 4.0 * (qt + 2.0 * t) * d});
     ParallelForRange(0, sequences, grain, [&](int64_t lo, int64_t hi) {
       for (int64_t s = lo; s < hi; ++s) {
         const int64_t b = s / w.num_heads;
@@ -177,15 +188,15 @@ void FusedAttentionForward(const FusedAttentionWeights& w, const float* x,
         const float* base = qkv + b * tokens * 3 * inner + h * w.head_dim;
         AttendSequence(w.head_dim, base, base + inner, base + 2 * inner,
                        3 * inner,
-                       merged + b * tokens * inner + h * w.head_dim, inner,
-                       tokens, scale);
+                       merged + b * queries * inner + h * w.head_dim, inner,
+                       queries, tokens, scale);
       }
     });
   }
 
-  // Output projection W_O.
+  // Output projection W_O over the query rows only.
   ops::GemmBiasActInto(merged, w.out_weight.data(), w.out_bias.data(), out,
-                       rows, inner, e);
+                       batch * queries, inner, e);
 }
 
 Tensor FusedAttentionForward(const FusedAttentionWeights& w, const Tensor& x) {
@@ -196,7 +207,7 @@ Tensor FusedAttentionForward(const FusedAttentionWeights& w, const Tensor& x) {
   Tensor out(x.shape());
   std::vector<float> scratch(
       static_cast<size_t>(w.ScratchFloats(batch, tokens)));
-  FusedAttentionForward(w, x.data(), batch, tokens, out.data(),
+  FusedAttentionForward(w, x.data(), batch, tokens, tokens, out.data(),
                         scratch.data());
   return out;
 }

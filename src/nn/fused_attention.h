@@ -44,25 +44,34 @@ FusedAttentionWeights PackAttentionWeights(
     const Tensor& wq, const Tensor& bq, const Tensor& wk, const Tensor& bk,
     const Tensor& wv, const Tensor& bv, const Tensor& wo, const Tensor& bo);
 
-/// Fused MHSA forward: x [batch, tokens, e] -> out [batch, tokens, e], over
-/// caller-provided scratch of at least w.ScratchFloats(batch, tokens)
-/// floats (normally arena-backed; nothing is heap-allocated here). One QKV
-/// GEMM, then per-(batch, head) single-pass online-softmax attention read
-/// strided out of the QKV buffer and written head-merged (the tape path's
-/// split/merge permutes disappear), then the output projection. The
-/// attention inner loops are compile-time specialised for the common head
-/// dims (2, 4, 8, 16) and fall back to the generic strided kernel
-/// (ops::OnlineSoftmaxWeightedSumInto) otherwise; both orderings are
-/// identical, so the fallback changes nothing but speed.
+/// Fused MHSA forward: x [batch, tokens, e] -> out [batch, queries, e],
+/// over caller-provided scratch of at least w.ScratchFloats(batch, tokens)
+/// floats (normally arena-backed; nothing is heap-allocated here). The
+/// first `queries` tokens of each sequence are queries (1 <= queries <=
+/// tokens); keys and values span all `tokens`. One QKV GEMM over all
+/// tokens, then per-(batch, head) single-pass online-softmax attention for
+/// the query tokens, read strided out of the QKV buffer and written
+/// head-merged (the tape path's split/merge permutes disappear), then the
+/// output projection over the query rows. The attention inner loops are
+/// compile-time specialised for the common head dims (2, 4, 8, 16) and fall
+/// back to the generic strided kernel (ops::OnlineSoftmaxWeightedSumInto)
+/// otherwise; both orderings are identical, so the fallback changes nothing
+/// but speed.
+///
+/// Every step after the QKV GEMM is row-local and each GEMM row
+/// accumulates in the same order whatever the row count, so out row i is
+/// bitwise the same for every queries > i: queries == tokens is the full
+/// self-attention, a smaller count is its leading rows.
 ///
 /// Agrees with MultiHeadSelfAttention::Forward within ~1e-6 per element:
 /// the projections are bitwise identical, the online softmax re-associates
 /// only the softmax normalisation (tests/nn_test.cc pins the bound).
 void FusedAttentionForward(const FusedAttentionWeights& w, const float* x,
-                           int64_t batch, int64_t tokens, float* out,
-                           float* scratch);
+                           int64_t batch, int64_t tokens, int64_t queries,
+                           float* out, float* scratch);
 
-/// Allocating convenience wrapper for tests and benchmarks.
+/// Allocating convenience wrapper for tests and benchmarks: full
+/// self-attention (queries == tokens).
 Tensor FusedAttentionForward(const FusedAttentionWeights& w, const Tensor& x);
 
 }  // namespace nn

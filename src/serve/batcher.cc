@@ -830,11 +830,14 @@ void MicroBatcher::ProcessGroup(std::vector<PendingRequest>* group,
 
   // Tape-free fused forward: weights were packed at snapshot load, the
   // arena is the worker's own scratch, and the result tensor lives in the
-  // arena — zero heap per request after warm-up.
+  // arena — zero heap per request after warm-up. Only the batch users'
+  // rows [0, users.size()) are read, so only those are computed.
+  const int64_t query_rows = static_cast<int64_t>(users.size());
   const Tensor* predicted_ptr = nullptr;
   {
     HIRE_TRACE_SCOPE("serve_forward");
-    predicted_ptr = &snapshot.inference->Predict(context, &arena_);
+    predicted_ptr =
+        &snapshot.inference->Predict(context, &arena_, query_rows);
   }
   const Tensor& predicted = *predicted_ptr;
   {
@@ -847,6 +850,12 @@ void MicroBatcher::ProcessGroup(std::vector<PendingRequest>* group,
   std::unordered_map<int64_t, int64_t> row_of_user;
   for (size_t r = 0; r < rows.size(); ++r) {
     row_of_user[rows[r]] = static_cast<int64_t>(r);
+  }
+  // Batch users fill rows [0, query_rows) by construction; checked before
+  // any request resolves, so a violation fails the whole group cleanly.
+  for (const PendingRequest& request : *group) {
+    HIRE_CHECK_LT(row_of_user.at(request.user), query_rows)
+        << "user " << request.user << " is not a computed query row";
   }
   std::unordered_map<int64_t, int64_t> col_of_item;
   for (size_t c = 0; c < cols.size(); ++c) {

@@ -849,9 +849,9 @@ void OnlineSoftmaxWeightedSumInto(const float* q, int64_t q_stride,
                                   const float* k, int64_t k_stride,
                                   const float* v, int64_t v_stride,
                                   float* out, int64_t out_stride,
-                                  int64_t tokens, int64_t head_dim,
-                                  float scale) {
-  for (int64_t i = 0; i < tokens; ++i) {
+                                  int64_t queries, int64_t tokens,
+                                  int64_t head_dim, float scale) {
+  for (int64_t i = 0; i < queries; ++i) {
     const float* qi = q + i * q_stride;
     float* oi = out + i * out_stride;
     // The output row doubles as the weighted-value accumulator: when the
@@ -867,13 +867,21 @@ void OnlineSoftmaxWeightedSumInto(const float* q, int64_t q_stride,
       float dot = 0.0f;
       for (int64_t p = 0; p < head_dim; ++p) dot += qi[p] * kj[p];
       const float s = dot * scale;
+      // Two exps are constants for a finite score and are not computed: a
+      // key that becomes the running max has weight exp(s - s) == 1
+      // exactly, and the first key's rescale exp(-inf) == 0 would only
+      // scale the all-zero row and mass.
+      float w = 1.0f;
       if (s > m) {
-        const float rescale = std::exp(m - s);
-        for (int64_t c = 0; c < head_dim; ++c) oi[c] *= rescale;
-        mass *= rescale;
+        if (j > 0) {
+          const float rescale = std::exp(m - s);
+          for (int64_t c = 0; c < head_dim; ++c) oi[c] *= rescale;
+          mass *= rescale;
+        }
         m = s;
+      } else {
+        w = std::exp(s - m);
       }
-      const float w = std::exp(s - m);
       mass += w;
       const float* vj = v + j * v_stride;
       for (int64_t c = 0; c < head_dim; ++c) oi[c] += w * vj[c];
@@ -903,8 +911,8 @@ Tensor OnlineSoftmaxWeightedSum(const Tensor& q, const Tensor& k,
       const int64_t offset = s * tokens * dim;
       OnlineSoftmaxWeightedSumInto(q.data() + offset, dim, k.data() + offset,
                                    dim, v.data() + offset, dim,
-                                   out.data() + offset, dim, tokens, dim,
-                                   scale);
+                                   out.data() + offset, dim, tokens, tokens,
+                                   dim, scale);
     }
   });
   return out;

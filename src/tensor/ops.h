@@ -128,17 +128,21 @@ Tensor GemmBiasAct(const Tensor& a, const Tensor& b, const Tensor& bias,
 
 /// Single-sequence single-pass attention: out[i, :] = sum_j a_ij * v[j, :]
 /// with a_ij = softmax_j(scale * <q_i, k_j>), computed in one sweep over j
-/// per query via online (running-max) softmax — the t x t score matrix is
-/// never materialised. Token i of q/k/v/out lives at base + i*stride
-/// (strides in floats), so per-head q/k/v can be read strided straight out
-/// of a fused QKV projection buffer and the result written head-merged.
-/// Serial by design; callers parallelise over (batch, head) sequences.
+/// per query via online (running-max) softmax — the score matrix is never
+/// materialised. Only the first `queries` tokens are queries (i < queries,
+/// out holds `queries` rows); keys and values span all `tokens` (j <
+/// tokens). Each output row depends only on its own query, so row i is
+/// bitwise the same for every queries > i. Token i of q/k/v/out lives at
+/// base + i*stride (strides in floats), so per-head q/k/v can be read
+/// strided straight out of a fused QKV projection buffer and the result
+/// written head-merged. Serial by design; callers parallelise over
+/// (batch, head) sequences.
 void OnlineSoftmaxWeightedSumInto(const float* q, int64_t q_stride,
                                   const float* k, int64_t k_stride,
                                   const float* v, int64_t v_stride,
                                   float* out, int64_t out_stride,
-                                  int64_t tokens, int64_t head_dim,
-                                  float scale);
+                                  int64_t queries, int64_t tokens,
+                                  int64_t head_dim, float scale);
 
 /// Batched tensor wrapper: q/k/v [b, t, d] -> [b, t, d], sharded over the
 /// batch through the cost model.

@@ -762,6 +762,74 @@ TEST(InferenceForwardTest, BitwiseEqualWhenAttentionDisabled) {
   }
 }
 
+TEST(InferenceForwardTest, QueryRowsAreBitwiseTheFullForwardsLeadingRows) {
+  // Pruning the last HIM block to rows [0, q) must not move a bit of those
+  // rows, and every row >= q must read as NaN.
+  data::Dataset dataset = SmallDataset();
+  const auto variant = [](auto mutate) {
+    HireConfig config = SmallConfig();
+    mutate(&config);
+    return config;
+  };
+  const std::vector<HireConfig> variants = {
+      SmallConfig(),
+      variant([](HireConfig* c) { c->use_user_attention = false; }),
+      variant([](HireConfig* c) { c->use_layer_norm = false; }),
+      variant([](HireConfig* c) { c->use_residual = false; }),
+      variant([](HireConfig* c) { c->num_him_blocks = 1; }),
+      variant([](HireConfig* c) { c->num_him_blocks = 3; }),
+      variant([](HireConfig* c) { c->head_dim = 3; }),  // generic kernel
+  };
+  const std::vector<std::pair<int64_t, int64_t>> shapes = {
+      {1, 8}, {4, 8}, {16, 16}, {16, 32}};
+  for (const int threads : {1, 4}) {
+    SetGlobalThreads(threads);
+    for (size_t v = 0; v < variants.size(); ++v) {
+      HireModel model(&dataset, variants[v], /*seed=*/41);
+      model.SetTraining(false);
+      const InferenceModel fused(model);
+      InferenceArena full_arena;
+      InferenceArena pruned_arena;
+      for (const auto& [n, m] : shapes) {
+        graph::PredictionContext context =
+            SmallContext(dataset, /*seed=*/200 + n + m, n, m);
+        const Tensor& full = fused.Predict(context, &full_arena);
+        for (const int64_t q : {int64_t{1}, int64_t{2}, n}) {
+          if (q > n) continue;
+          const Tensor& pruned = fused.Predict(context, &pruned_arena, q);
+          ASSERT_TRUE(pruned.SameShape(full));
+          for (int64_t k = 0; k < n; ++k) {
+            for (int64_t j = 0; j < m; ++j) {
+              if (k < q) {
+                EXPECT_EQ(pruned.at(k, j), full.at(k, j))
+                    << "variant " << v << " threads " << threads << " n=" << n
+                    << " m=" << m << " q=" << q << " cell (" << k << ", "
+                    << j << ")";
+              } else {
+                EXPECT_TRUE(std::isnan(pruned.at(k, j)))
+                    << "skipped row " << k << " of q=" << q << " is "
+                    << pruned.at(k, j);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  SetGlobalThreads(0);
+}
+
+TEST(InferenceForwardTest, RejectsQueryRowsOutsideTheContext) {
+  data::Dataset dataset = SmallDataset();
+  HireModel model(&dataset, SmallConfig(), /*seed=*/43);
+  model.SetTraining(false);
+  const InferenceModel fused(model);
+  InferenceArena arena;
+  graph::PredictionContext context = SmallContext(dataset, /*seed=*/5, 4, 8);
+  EXPECT_THROW(fused.Predict(context, &arena, 0), CheckError);
+  EXPECT_THROW(fused.Predict(context, &arena, 5), CheckError);
+}
+
 TEST(InferenceForwardTest, ArenaReusesBlocksAndRewindsMarks) {
   InferenceArena arena;
   EXPECT_EQ(arena.growth_count(), 0);
@@ -851,27 +919,31 @@ TEST(InferenceForwardTest, WarmForwardAllocatesZeroHeap) {
   graph::PredictionContext context =
       SmallContext(dataset, /*seed=*/19, 16, 16);
 
-  // Warm-up: grows the arena, faults in thread-local GEMM pack buffers,
-  // and sizes the output tensor.
+  // Warm-up at q = n: grows the arena, faults in thread-local GEMM pack
+  // buffers, and sizes the output tensor. Pruned forwards allocate no more
+  // than the full one, so they must fit in what it warmed.
   fused.Predict(context, &arena);
   fused.Predict(context, &arena);
 
-  const int64_t growth_before = arena.growth_count();
-  const uint64_t allocs_before =
-      g_heap_allocations.load(std::memory_order_relaxed);
-  const Tensor& out = fused.Predict(context, &arena);
-  const uint64_t allocs_after =
-      g_heap_allocations.load(std::memory_order_relaxed);
+  for (const int64_t q : {int64_t{1}, int64_t{3}, int64_t{16}}) {
+    const int64_t growth_before = arena.growth_count();
+    const uint64_t allocs_before =
+        g_heap_allocations.load(std::memory_order_relaxed);
+    const Tensor& out = fused.Predict(context, &arena, q);
+    const uint64_t allocs_after =
+        g_heap_allocations.load(std::memory_order_relaxed);
 #if !defined(HIRE_TEST_ASAN)
-  EXPECT_EQ(allocs_after, allocs_before)
-      << "a warmed-up fused forward must not touch the heap";
+    EXPECT_EQ(allocs_after, allocs_before)
+        << "a warmed-up fused forward must not touch the heap (q=" << q
+        << ")";
 #else
-  // ASan owns operator new here; the counter stays at zero by design.
-  EXPECT_EQ(allocs_after, allocs_before);
+    // ASan owns operator new here; the counter stays at zero by design.
+    EXPECT_EQ(allocs_after, allocs_before);
 #endif
-  EXPECT_EQ(arena.growth_count(), growth_before);
-  EXPECT_EQ(out.shape(0), 16);
-  EXPECT_EQ(out.shape(1), 16);
+    EXPECT_EQ(arena.growth_count(), growth_before) << "q=" << q;
+    EXPECT_EQ(out.shape(0), 16);
+    EXPECT_EQ(out.shape(1), 16);
+  }
   SetGlobalThreads(0);
 }
 

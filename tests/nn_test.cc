@@ -423,6 +423,89 @@ TEST(FusedAttentionTest, SpecialisedAndGenericKernelsAreBitwiseEqual) {
   }
 }
 
+TEST(FusedAttentionTest, QueryPrefixMatchesGenericKernelAndFullRows) {
+  // With queries < tokens only the first `queries` tokens attend (over all
+  // tokens). The specialised kernels (head_dim 2/4/8/16) and the generic
+  // one (3) must agree bitwise, and both must equal the leading rows of the
+  // full self-attention.
+  Rng rng(94);
+  const int64_t batch = 3;
+  const int64_t tokens = 7;
+  for (const int64_t dim : {2, 3, 4, 8, 16}) {
+    MhsaConfig config;
+    config.embed_dim = dim;
+    config.num_heads = 1;
+    config.head_dim = dim;
+    MultiHeadSelfAttention mhsa(config, &rng);
+    FusedAttentionWeights w = PackAttentionWeights(mhsa);
+    w.qkv_weight.Fill(0.0f);
+    w.qkv_bias.Fill(0.0f);
+    w.out_weight.Fill(0.0f);
+    w.out_bias.Fill(0.0f);
+    for (int64_t p = 0; p < dim; ++p) {
+      w.qkv_weight.at(p, p) = 1.0f;            // Q = x
+      w.qkv_weight.at(p, dim + p) = 1.0f;      // K = x
+      w.qkv_weight.at(p, 2 * dim + p) = 1.0f;  // V = x
+      w.out_weight.at(p, p) = 1.0f;
+    }
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dim));
+    Tensor x = RandomUniform({batch, tokens, dim}, -2, 2, &rng);
+    std::vector<float> scratch(
+        static_cast<size_t>(w.ScratchFloats(batch, tokens)));
+    Tensor full({batch, tokens, dim});
+    FusedAttentionForward(w, x.data(), batch, tokens, tokens, full.data(),
+                          scratch.data());
+    for (const int64_t queries : {1, 3, 7}) {
+      Tensor fused({batch, queries, dim});
+      FusedAttentionForward(w, x.data(), batch, tokens, queries, fused.data(),
+                            scratch.data());
+      Tensor generic({batch, queries, dim});
+      for (int64_t b = 0; b < batch; ++b) {
+        const float* seq = x.data() + b * tokens * dim;
+        ops::OnlineSoftmaxWeightedSumInto(seq, dim, seq, dim, seq, dim,
+                                          generic.data() + b * queries * dim,
+                                          dim, queries, tokens, dim, scale);
+      }
+      for (int64_t b = 0; b < batch; ++b) {
+        for (int64_t i = 0; i < queries; ++i) {
+          for (int64_t c = 0; c < dim; ++c) {
+            EXPECT_EQ(fused.at(b, i, c), generic.at(b, i, c))
+                << "dim=" << dim << " queries=" << queries << " (" << b
+                << ", " << i << ", " << c << ")";
+            EXPECT_EQ(fused.at(b, i, c), full.at(b, i, c))
+                << "dim=" << dim << " queries=" << queries << " (" << b
+                << ", " << i << ", " << c << ")";
+          }
+        }
+      }
+    }
+  }
+
+  // Trained-looking (random) multi-head weights: the pruned rows are still
+  // the full forward's leading rows bit for bit.
+  MhsaConfig config;
+  config.embed_dim = 12;
+  config.num_heads = 3;
+  config.head_dim = 4;
+  MultiHeadSelfAttention mhsa(config, &rng);
+  const FusedAttentionWeights w = PackAttentionWeights(mhsa);
+  Tensor x = RandomUniform({batch, tokens, 12}, -1, 1, &rng);
+  const Tensor full = FusedAttentionForward(w, x);
+  std::vector<float> scratch(
+      static_cast<size_t>(w.ScratchFloats(batch, tokens)));
+  Tensor pruned({batch, 2, 12});
+  FusedAttentionForward(w, x.data(), batch, tokens, 2, pruned.data(),
+                        scratch.data());
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t i = 0; i < 2; ++i) {
+      for (int64_t c = 0; c < 12; ++c) {
+        EXPECT_EQ(pruned.at(b, i, c), full.at(b, i, c))
+            << "(" << b << ", " << i << ", " << c << ")";
+      }
+    }
+  }
+}
+
 TEST(FusedAttentionTest, QkvProjectionIsBitwiseThreeLinears) {
   // The packed [e, 3*inner] GEMM must reproduce the three tape Linears
   // bit-for-bit: each output column accumulates independently.

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -708,6 +709,39 @@ TEST(RatingServerTest, ConcurrentRequestsCoalesceIntoSharedForwards) {
   const auto delta = obs::MetricsRegistry::Global().Take().Delta(before);
   EXPECT_EQ(delta.counters.at("serve.requests"), 4u);
   EXPECT_LT(delta.counters.at("serve.batches"), 4u);
+  server.Stop();
+}
+
+TEST(RatingServerTest, CoBatchedUsersAllReadComputedRows) {
+  // The shared forward computes only the batch users' rows (rows >= k are
+  // NaN), so every co-batched user must still get finite predictions.
+  const data::Dataset dataset = SmallDataset(58);
+  const std::string model = WriteModelSnapshot(dataset, 59, "server_q.snap");
+  graph::BipartiteGraph graph(dataset.num_users(), dataset.num_items(),
+                              dataset.ratings());
+  RatingServer server(&dataset, SmallConfig(), std::move(graph),
+                      SmallServeConfig(model, /*batch_window_us=*/200000));
+  server.Start();
+
+  const auto before = obs::MetricsRegistry::Global().Take();
+  std::vector<std::future<RatingResponse>> futures;
+  for (const int64_t user : {9, 3, 6}) {
+    futures.push_back(server.PredictAsync(user, {1, 2, 5}));
+  }
+  for (auto& future : futures) {
+    const RatingResponse response = future.get();
+    ASSERT_TRUE(response.ok) << response.error;
+    EXPECT_FALSE(response.degraded);
+    EXPECT_EQ(response.batch_users, 3);
+    ASSERT_EQ(response.predictions.size(), 3u);
+    for (const float p : response.predictions) {
+      EXPECT_TRUE(std::isfinite(p)) << p;
+    }
+  }
+  const auto delta = obs::MetricsRegistry::Global().Take().Delta(before);
+  EXPECT_EQ(delta.counters.at("serve.batches"), 1u);
+  EXPECT_EQ(delta.counters.at("serve.batched_users"), 3u)
+      << "the three users must share one forward";
   server.Stop();
 }
 

@@ -532,8 +532,8 @@ TEST(FusedKernelsTest, OnlineSoftmaxOverwritesStaleOutputMemory) {
   Tensor out({1, 3, 4});
   out.Fill(std::numeric_limits<float>::quiet_NaN());
   ops::OnlineSoftmaxWeightedSumInto(q.data(), 4, k.data(), 4, v.data(), 4,
-                                    out.data(), 4, /*tokens=*/3,
-                                    /*head_dim=*/4, 0.5f);
+                                    out.data(), 4, /*queries=*/3,
+                                    /*tokens=*/3, /*head_dim=*/4, 0.5f);
   for (int64_t i = 0; i < out.size(); ++i) {
     EXPECT_FALSE(std::isnan(out.flat(i))) << "flat index " << i;
   }

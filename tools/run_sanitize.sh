@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Sanitizer pass over the suites that exercise raw sockets, threads, and
 # manual buffer handling — including the tape-free inference path (arena
-# allocator + fused kernels in core_test/serve_test): configure a separate
-# build tree with
+# allocator + fused kernels in core_test/serve_test, the strided attention
+# kernels and their query-prefix variants in nn_test/tensor_test):
+# configure a separate build tree with
 # -DHIRE_SANITIZE=address,undefined, build the serve + utils test binaries,
 # and run them with strict sanitizer options (abort on the first report).
 #
@@ -18,7 +19,7 @@ set -u
 SOURCE_DIR="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 BUILD_DIR="${2:-$SOURCE_DIR/build-sanitize}"
 SANITIZERS="${HIRE_SANITIZERS:-address,undefined}"
-TESTS=(utils_test core_test serve_test shard_test)
+TESTS=(utils_test tensor_test nn_test core_test serve_test shard_test)
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
