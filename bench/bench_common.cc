@@ -18,7 +18,7 @@
 #include "graph/samplers.h"
 #include "utils/check.h"
 #include "utils/logging.h"
-#include "utils/stopwatch.h"
+#include "obs/stopwatch.h"
 #include "utils/string_utils.h"
 #include "utils/table_printer.h"
 

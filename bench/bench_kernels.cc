@@ -3,7 +3,7 @@
 // unfused op chain, and the whole serve forward (InferenceModel::Predict)
 // vs the autograd reference (HireModel::Predict) at serve batch shapes.
 //
-// Three modes:
+// Three modes, all at the first --threads count (default 1):
 //   * default: the google-benchmark suite below.
 //   * --emit_json=PATH [--threads=1,2] [--min_time=0.2]: times every
 //     tape/fused pair in 15 alternating rounds, each side at least min_time
@@ -753,6 +753,9 @@ int main(int argc, char** argv) {
                                              passthrough.data())) {
     return 1;
   }
+  // The suite takes no per-case thread count, so it runs at the first
+  // --threads entry rather than the process default (every core).
+  hire::SetGlobalThreads(thread_counts.front());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

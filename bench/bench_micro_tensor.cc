@@ -31,7 +31,7 @@
 #include "nn/multi_head_self_attention.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
-#include "utils/stopwatch.h"
+#include "obs/stopwatch.h"
 #include "utils/string_utils.h"
 #include "utils/parallel.h"
 

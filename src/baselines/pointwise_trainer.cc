@@ -1,13 +1,13 @@
 #include "baselines/pointwise_trainer.h"
 
 #include "autograd/ops.h"
+#include "obs/stopwatch.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "optim/adam.h"
 #include "tensor/random.h"
 #include "utils/check.h"
 #include "utils/logging.h"
-#include "utils/stopwatch.h"
 
 namespace hire {
 namespace baselines {

@@ -6,10 +6,11 @@
 
 #include "graph/context_builder.h"
 #include "obs/json.h"
+#include "obs/kernel_timers.h"
+#include "obs/stopwatch.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "utils/check.h"
-#include "utils/stopwatch.h"
 #include "utils/parallel.h"
 
 namespace hire {

@@ -9,7 +9,9 @@
 #include "core/checkpoint.h"
 #include "graph/context_builder.h"
 #include "obs/json.h"
+#include "obs/kernel_timers.h"
 #include "obs/metrics.h"
+#include "obs/stopwatch.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "optim/lamb.h"
@@ -19,7 +21,6 @@
 #include "utils/check.h"
 #include "utils/fault_injection.h"
 #include "utils/logging.h"
-#include "utils/stopwatch.h"
 #include "utils/parallel.h"
 
 namespace hire {

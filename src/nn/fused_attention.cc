@@ -6,11 +6,11 @@
 #include <utility>
 #include <vector>
 
+#include "obs/kernel_timers.h"
 #include "tensor/ops.h"
 #include "utils/check.h"
 #include "utils/cost_model.h"
 #include "utils/parallel.h"
-#include "utils/stopwatch.h"
 
 namespace hire {
 namespace nn {

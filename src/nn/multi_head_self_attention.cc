@@ -4,9 +4,9 @@
 #include <memory>
 
 #include "autograd/ops.h"
+#include "obs/kernel_timers.h"
 #include "obs/trace.h"
 #include "utils/check.h"
-#include "utils/stopwatch.h"
 
 namespace hire {
 namespace nn {

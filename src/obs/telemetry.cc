@@ -62,17 +62,6 @@ void TelemetrySink::WriteStep(const StepTelemetry& step) {
   WriteLine(line);
 }
 
-void TelemetrySink::WriteServe(const ServeTelemetry& record) {
-  WriteLine("{\"type\":\"serve\",\"user\":" + std::to_string(record.user) +
-            ",\"items\":" + std::to_string(record.num_items) +
-            ",\"latency_us\":" + JsonNumber(record.latency_us) +
-            ",\"batch_users\":" + std::to_string(record.batch_users) +
-            ",\"cache_hit\":" + std::string(record.cache_hit ? "1" : "0") +
-            ",\"model_version\":" + std::to_string(record.model_version) +
-            ",\"graph_version\":" + std::to_string(record.graph_version) +
-            "}");
-}
-
 void TelemetrySink::WriteEvent(const std::string& name, int64_t step,
                                const TelemetryFields& fields) {
   std::string line = "{\"type\":\"event\",\"name\":" + JsonString(name) +

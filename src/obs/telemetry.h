@@ -32,19 +32,6 @@ struct StepTelemetry {
   bool has_kernel_delta = false;
 };
 
-/// One served rating request, written by the online serving subsystem as a
-/// {"type":"serve",...} JSONL record (tools/validate_telemetry checks the
-/// stream with --min-serve).
-struct ServeTelemetry {
-  int64_t user = 0;
-  int64_t num_items = 0;        // query items in the request
-  double latency_us = 0.0;      // enqueue -> response
-  int64_t batch_users = 0;      // distinct users in the shared context
-  bool cache_hit = false;       // context plan came from the LRU cache
-  int64_t model_version = 0;
-  int64_t graph_version = 0;
-};
-
 /// Pre-rendered JSON values keyed by field name; values must already be
 /// valid JSON fragments (use JsonString/JsonNumber from obs/json.h).
 using TelemetryFields = std::vector<std::pair<std::string, std::string>>;
@@ -68,7 +55,6 @@ class TelemetrySink {
   bool enabled() const;
 
   void WriteStep(const StepTelemetry& step);
-  void WriteServe(const ServeTelemetry& record);
   void WriteEvent(const std::string& name, int64_t step,
                   const TelemetryFields& fields = {});
   void WriteMetricsSnapshot(const MetricsRegistry::Snapshot& snapshot);

@@ -31,15 +31,5 @@ double HistogramQuantile(const HistogramSnapshot& snapshot, double q) {
   return snapshot.upper_bounds.back();
 }
 
-HistogramSnapshot HistogramWindow::Advance(const HistogramSnapshot& current) {
-  HistogramSnapshot delta =
-      has_last_ && last_.upper_bounds == current.upper_bounds
-          ? current.Delta(last_)
-          : current;
-  last_ = current;
-  has_last_ = true;
-  return delta;
-}
-
 }  // namespace obs
 }  // namespace hire

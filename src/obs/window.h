@@ -14,20 +14,6 @@ namespace obs {
 /// snapshot.
 double HistogramQuantile(const HistogramSnapshot& snapshot, double q);
 
-/// Turns successive cumulative snapshots of one histogram into per-window
-/// deltas: Advance(current) returns the population recorded since the
-/// previous Advance call (the first call returns `current` itself, i.e. the
-/// window since process start). Rolling-window percentile gauges are
-/// computed from these deltas on a background tick.
-class HistogramWindow {
- public:
-  HistogramSnapshot Advance(const HistogramSnapshot& current);
-
- private:
-  bool has_last_ = false;
-  HistogramSnapshot last_;
-};
-
 }  // namespace obs
 }  // namespace hire
 

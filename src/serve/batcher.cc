@@ -13,7 +13,6 @@
 #include "core/evaluation.h"
 #include "graph/context_builder.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "utils/check.h"
 #include "utils/fault_injection.h"
@@ -262,18 +261,6 @@ void MicroBatcher::Stop() {
   queue_.Close();
   if (worker_.joinable()) worker_.join();
   started_ = false;
-}
-
-std::future<RatingResponse> MicroBatcher::Submit(int64_t user,
-                                                 std::vector<int64_t> items,
-                                                 RequestDeadline deadline) {
-  auto promise = std::make_shared<std::promise<RatingResponse>>();
-  std::future<RatingResponse> future = promise->get_future();
-  SubmitAsync(user, std::move(items), deadline,
-              [promise](RatingResponse response) {
-                promise->set_value(std::move(response));
-              });
-  return future;
 }
 
 void MicroBatcher::SubmitAsync(int64_t user, std::vector<int64_t> items,
@@ -888,17 +875,6 @@ void MicroBatcher::ProcessGroup(std::vector<PendingRequest>* group,
     response.latency_us = MicrosSince(request.enqueue_time);
 
     served->Increment();
-    if (obs::TelemetrySink::Global().enabled()) {
-      obs::ServeTelemetry record;
-      record.user = request.user;
-      record.num_items = static_cast<int64_t>(request.items.size());
-      record.latency_us = response.latency_us;
-      record.batch_users = response.batch_users;
-      record.cache_hit = response.cache_hit;
-      record.model_version = response.model_version;
-      record.graph_version = response.graph_version;
-      obs::TelemetrySink::Global().WriteServe(record);
-    }
     Resolve(&request, std::move(response));
   }
   group->clear();

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -144,8 +143,7 @@ void EnsureServeStageMetrics();
 struct BatcherConfig {
   /// How long the worker keeps the batch open after the first request
   /// arrives, waiting for co-batchable requests. 0 = no coalescing: every
-  /// request gets its own context and forward (the "one context per
-  /// request" baseline the load generator compares against).
+  /// request gets its own context and forward.
   int64_t batch_window_us = 2000;
   /// Max distinct users coalesced into one shared context (bounded by the
   /// context row budget).
@@ -222,17 +220,11 @@ class MicroBatcher {
   /// (queue full or in-flight cap), `done` runs before SubmitAsync returns,
   /// with an "overloaded" error (callers map that to 503); a request whose
   /// deadline has already passed resolves "deadline exceeded" (504).
-  /// `deadline` overrides the configured default. This is the primary submit
-  /// path: it never blocks the caller on batch formation or the forward,
-  /// which is what lets an event-loop transport keep thousands of requests
-  /// in flight per handler thread.
+  /// `deadline` overrides the configured default. It never blocks the
+  /// caller on batch formation or the forward, which is what lets the event
+  /// loop keep thousands of requests in flight on one thread.
   void SubmitAsync(int64_t user, std::vector<int64_t> items,
                    RequestDeadline deadline, PredictCallback done);
-
-  /// Future-returning convenience wrapper over SubmitAsync for callers that
-  /// want to block (tests, the in-process load generator).
-  std::future<RatingResponse> Submit(int64_t user, std::vector<int64_t> items,
-                                     RequestDeadline deadline = std::nullopt);
 
   const BatcherConfig& config() const { return config_; }
   size_t queue_depth() const { return queue_.size(); }

@@ -13,11 +13,11 @@
 namespace hire {
 namespace serve {
 
-/// Bounded MPMC FIFO. Producers are the HTTP connection threads (and the
-/// in-process ServeClient); consumers are the micro-batcher workers. The
-/// bound is the server's backpressure mechanism: when the queue is full,
-/// TryPush fails and the transport replies 503 instead of letting latency
-/// grow without limit.
+/// Bounded MPMC FIFO. Producers are the event-loop thread (and in-process
+/// SubmitAsync callers); consumers are the micro-batcher workers and the
+/// server's reload thread. The bound is the server's backpressure
+/// mechanism: when the queue is full, TryPush fails and the transport
+/// replies 503 instead of letting latency grow without limit.
 template <typename T>
 class BoundedQueue {
  public:

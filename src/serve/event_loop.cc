@@ -242,21 +242,14 @@ std::unique_ptr<Poller> Poller::Create() {
   return std::make_unique<PollSetPoller>();
 }
 
-HttpEventLoop::HttpEventLoop(
-    int port, HttpServerOptions options, int handler_threads,
-    std::map<std::pair<std::string, std::string>, HttpHandler> routes,
-    std::map<std::pair<std::string, std::string>, HttpAsyncHandler>
-        async_routes)
-    : requested_port_(port),
-      options_(options),
-      handler_threads_(handler_threads),
-      routes_(std::move(routes)),
-      async_routes_(std::move(async_routes)) {
+HttpEventLoop::HttpEventLoop(int port, HttpServerOptions options,
+                             HttpRoutes routes)
+    : requested_port_(port), options_(options), routes_(std::move(routes)) {
   HIRE_CHECK_GE(port, 0);
-  HIRE_CHECK_GT(handler_threads, 0);
   HIRE_CHECK_GT(options.idle_timeout_ms, 0);
   HIRE_CHECK_GT(options.header_timeout_ms, 0);
   HIRE_CHECK_GE(options.max_connections, 0);
+  for (const auto& [key, handler] : routes_) HIRE_CHECK(handler != nullptr);
 }
 
 HttpEventLoop::~HttpEventLoop() { Stop(); }
@@ -312,11 +305,9 @@ void HttpEventLoop::Start() {
   listen_closed_ = false;
   stopping_.store(false);
   running_.store(true);
-  pool_ = std::make_unique<ThreadPool>(handler_threads_);
   loop_thread_ = std::thread([this] { Run(); });
-  HIRE_LOG(Info) << "http event loop listening on 127.0.0.1:" << port_ << " ("
-                 << handler_threads_ << " handler threads, backend="
-                 << poller_->name()
+  HIRE_LOG(Info) << "http event loop listening on 127.0.0.1:" << port_
+                 << " (backend=" << poller_->name()
                  << (options_.max_connections > 0
                          ? ", max_connections=" +
                                std::to_string(options_.max_connections)
@@ -329,12 +320,8 @@ void HttpEventLoop::Stop() {
   stopping_.store(true);
   Wake();
   if (loop_thread_.joinable()) loop_thread_.join();
-  if (pool_ != nullptr) {
-    pool_->Wait();
-    pool_.reset();
-  }
   if (sink_ != nullptr) {
-    // Unreachable from here on: late async `done` callbacks (requests still
+    // Unreachable from here on: late `done` callbacks (requests still
     // parked in a backend queue) see wake_fd == -1 under the sink mutex and
     // drop their completion instead of writing a dead — possibly reused —
     // pipe fd. Their connections were closed when the loop exited.
@@ -490,7 +477,6 @@ void HttpEventLoop::AcceptNew() {
         Clock::now() + std::chrono::milliseconds(options_.idle_timeout_ms);
     id_to_fd_[conn.id] = client;
     connections_.emplace(client, std::move(conn));
-    open_connections_.store(static_cast<int>(connections_.size()));
     registry.GetGauge("serve.http.open_connections")
         ->Set(static_cast<double>(connections_.size()));
     poller_->Add(client, /*want_read=*/true, /*want_write=*/false);
@@ -504,7 +490,6 @@ void HttpEventLoop::CloseConnection(int fd) {
   ::close(fd);
   id_to_fd_.erase(it->second.id);
   connections_.erase(it);
-  open_connections_.store(static_cast<int>(connections_.size()));
   obs::MetricsRegistry::Global()
       .GetGauge("serve.http.open_connections")
       ->Set(static_cast<double>(connections_.size()));
@@ -565,44 +550,7 @@ void HttpEventLoop::TryParseAndDispatch(Connection& conn) {
   conn.state = ConnState::kHandling;
   poller_->Update(conn.fd, /*want_read=*/false, /*want_write=*/false);
 
-  const auto async_it = async_routes_.find({request.method, request.path});
-  if (async_it != async_routes_.end()) {
-    // Async route: the pool task only runs the handler's synchronous prefix
-    // (parse + submit); the response arrives whenever the backend invokes
-    // `done`, from any thread. The callback captures the sink, not `this`,
-    // because it can outlive both the pool and the loop object.
-    const HttpAsyncHandler* handler = &async_it->second;
-    pool_->Submit([handler, sink = sink_, conn_id = conn.id,
-                   request = std::move(request)] {
-      auto completed = std::make_shared<std::atomic<bool>>(false);
-      const auto done = [sink, conn_id, completed](HttpResponse response) {
-        // Exactly-once guard: a buggy double `done` (or a handler that
-        // completed and then threw) must not write two responses into one
-        // connection's stream.
-        if (completed->exchange(true)) return;
-        Completion completion;
-        completion.conn_id = conn_id;
-        completion.response = std::move(response);
-        PushCompletion(sink, std::move(completion));
-      };
-      try {
-        (*handler)(request, done);
-      } catch (const std::exception&) {
-        obs::MetricsRegistry::Global()
-            .GetCounter("serve.http.handler_errors")
-            ->Increment();
-        done({500, "application/json", "{\"error\":\"internal error\"}"});
-      }
-    });
-    return;
-  }
-
-  pool_->Submit([this, conn_id = conn.id, request = std::move(request)] {
-    Completion completion;
-    completion.conn_id = conn_id;
-    completion.response = Dispatch(request);
-    PushCompletion(sink_, std::move(completion));
-  });
+  Dispatch(conn.id, request);
 }
 
 void HttpEventLoop::PushCompletion(
@@ -615,31 +563,40 @@ void HttpEventLoop::PushCompletion(
   (void)!::write(sink->wake_fd, &byte, 1);
 }
 
-HttpResponse HttpEventLoop::Dispatch(const HttpRequest& request) const {
+void HttpEventLoop::Dispatch(uint64_t conn_id, const HttpRequest& request) {
+  // `done` captures the sink, not `this`, because a backend can invoke it
+  // after the loop object is gone.
+  auto completed = std::make_shared<std::atomic<bool>>(false);
+  const HttpDone done = [sink = sink_, conn_id,
+                         completed](HttpResponse response) {
+    // Exactly-once guard: a buggy double `done` (or a handler that
+    // completed and then threw) must not write two responses into one
+    // connection's stream.
+    if (completed->exchange(true)) return;
+    Completion completion;
+    completion.conn_id = conn_id;
+    completion.response = std::move(response);
+    PushCompletion(sink, std::move(completion));
+  };
   const auto it = routes_.find({request.method, request.path});
   if (it == routes_.end()) {
-    // Distinguish wrong-method from unknown-path for friendlier errors
-    // (async routes count: GET /predict is a 405, not a 404).
+    // Distinguish wrong-method from unknown-path for friendlier errors.
     for (const auto& [key, handler] : routes_) {
       if (key.second == request.path) {
-        return {405, "application/json", "{\"error\":\"method not allowed\"}"};
+        done({405, "application/json", "{\"error\":\"method not allowed\"}"});
+        return;
       }
     }
-    for (const auto& [key, handler] : async_routes_) {
-      if (key.second == request.path) {
-        return {405, "application/json", "{\"error\":\"method not allowed\"}"};
-      }
-    }
-    return {404, "application/json", "{\"error\":\"no such endpoint\"}"};
+    done({404, "application/json", "{\"error\":\"no such endpoint\"}"});
+    return;
   }
   try {
-    return it->second(request);
-  } catch (const std::exception& error) {
+    it->second(request, done);
+  } catch (const std::exception&) {
     obs::MetricsRegistry::Global()
         .GetCounter("serve.http.handler_errors")
         ->Increment();
-    return {500, "application/json",
-            "{\"error\":" + std::string("\"internal error\"") + "}"};
+    done({500, "application/json", "{\"error\":\"internal error\"}"});
   }
 }
 

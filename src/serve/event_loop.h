@@ -14,11 +14,73 @@
 #include <utility>
 #include <vector>
 
-#include "serve/http_server.h"
-#include "utils/thread_pool.h"
-
 namespace hire {
 namespace serve {
+
+struct HttpRequest {
+  std::string method;  // upper-case: "GET", "POST", ...
+  std::string path;    // target without query string
+  std::string query;   // raw query string after '?', "" when absent
+  std::string body;
+  /// All request headers, names lower-cased (values as sent).
+  std::map<std::string, std::string> headers;
+};
+
+struct HttpResponse {
+  HttpResponse() = default;
+  HttpResponse(int s, std::string ct, std::string b,
+               std::vector<std::pair<std::string, std::string>> h = {})
+      : status(s),
+        content_type(std::move(ct)),
+        body(std::move(b)),
+        headers(std::move(h)) {}
+
+  int status = 200;
+  std::string content_type = "application/json";
+  std::string body;
+  /// Extra response headers (e.g. {"Retry-After", "1"}).
+  std::vector<std::pair<std::string, std::string>> headers;
+  /// Invoked after the response bytes reach the socket, with the wall time
+  /// the write took in microseconds. Handlers use it to attribute the
+  /// socket-write stage of a request; never called when the write fails or
+  /// the connection is dropped first.
+  std::function<void(double write_micros)> on_written;
+};
+
+/// Completion callback handed to a route handler. Safe to invoke from any
+/// thread, at any time after the handler was entered (including
+/// synchronously inside it). Only the first invocation counts; later ones
+/// and invocations after the loop stopped are dropped (the connection is
+/// already answered or gone).
+using HttpDone = std::function<void(HttpResponse)>;
+
+/// Route handler. It runs on the loop thread, so it must return quickly:
+/// cheap routes answer through `done` before returning, and routes that
+/// wait on backend work (e.g. /predict waiting on its shard's micro-batch)
+/// hand `done` to that backend and return at once. A handler that throws
+/// is answered 500 and counted in "serve.http.handler_errors".
+using HttpHandler = std::function<void(const HttpRequest&, HttpDone done)>;
+
+/// Route table keyed by exact (method, path).
+using HttpRoutes =
+    std::map<std::pair<std::string, std::string>, HttpHandler>;
+
+/// Connection-hygiene budgets. Both defend the loop from stalled clients
+/// (slow-loris): a connection that sends nothing is closed after the idle
+/// budget, and one that dribbles a request without finishing it gets a 408
+/// after the read budget.
+struct HttpServerOptions {
+  /// Max time a keep-alive connection may sit idle between requests before
+  /// the server closes it.
+  int idle_timeout_ms = 5000;
+  /// Max time from the first byte of a request until its head and body are
+  /// fully received; breaching it returns 408 and closes the connection.
+  int header_timeout_ms = 2000;
+  /// Upper bound on concurrently open connections; an accept past the bound
+  /// is answered 503 + Retry-After and closed immediately
+  /// ("serve.http.over_capacity"). 0 = unbounded.
+  int max_connections = 0;
+};
 
 /// One readiness event from a Poller backend.
 struct PollEvent {
@@ -49,37 +111,33 @@ class Poller {
   static std::unique_ptr<Poller> Create();
 };
 
-/// Single-threaded non-blocking accept/read/write front-end for the serving
-/// tier. One loop thread owns every connection fd and multiplexes them
-/// through a Poller; parsed requests are dispatched to a small handler pool
-/// and finished responses come back to the loop over a completion queue +
-/// self-pipe wakeup. Synchronous routes occupy a pool thread until they
-/// return; async routes (e.g. /predict waiting on its shard's micro-batch)
-/// free their pool thread as soon as the handler returns and complete from
-/// wherever the backend invokes `done` — so requests in flight are bounded
-/// by backend admission control, not by the handler thread count.
-/// Connections cost a buffer each rather than a thread each, which is what
-/// lets one process hold thousands of them.
+/// Minimal dependency-free HTTP/1.1 server on POSIX sockets, loopback only:
+/// request line + headers, Content-Length bodies, keep-alive. No TLS, no
+/// chunked transfer, no multipart.
 ///
-/// Protocol semantics are identical to the old thread-per-connection server
-/// (same parser, same limits): keep-alive + pipelining, 400 on malformed
-/// heads, 408 + close when a started request breaches `header_timeout_ms`
-/// (slow-loris), silent close + "serve.http.idle_closed" when an idle
-/// keep-alive connection outlives `idle_timeout_ms`, injected connection
-/// resets dropped after dispatch. New at this layer: when `max_connections`
-/// > 0, an accept beyond the bound is answered 503 + Retry-After and closed
-/// immediately ("serve.http.over_capacity") instead of growing the fd table
-/// without limit.
+/// One loop thread owns every connection fd and multiplexes them through a
+/// Poller. It parses each request and calls its route handler inline; the
+/// handler's `done` may fire later from any thread, and finished responses
+/// come back to the loop over a completion queue + self-pipe wakeup. So
+/// requests in flight are bounded by backend admission control, and a
+/// connection costs a buffer rather than a thread, which is what lets one
+/// process hold thousands of them.
+///
+/// Protocol: keep-alive + pipelining, 400 on malformed heads, 404 for an
+/// unknown path and 405 for a known path with the wrong method, 408 + close
+/// when a started request breaches `header_timeout_ms` (slow-loris), silent
+/// close + "serve.http.idle_closed" when an idle keep-alive connection
+/// outlives `idle_timeout_ms`, injected connection resets dropped after
+/// dispatch. When `max_connections` > 0, an accept beyond the bound is
+/// answered 503 + Retry-After and closed immediately
+/// ("serve.http.over_capacity") instead of growing the fd table without
+/// limit.
 class HttpEventLoop {
  public:
-  /// `routes` / `async_routes` are the finished route tables (the loop
-  /// never mutates them). `handler_threads` sizes the pool that runs route
-  /// handlers.
-  HttpEventLoop(int port, HttpServerOptions options, int handler_threads,
-                std::map<std::pair<std::string, std::string>, HttpHandler>
-                    routes,
-                std::map<std::pair<std::string, std::string>, HttpAsyncHandler>
-                    async_routes = {});
+  /// `port` 0 picks an ephemeral port; read it back with port() after
+  /// Start(). `routes` is the finished route table (the loop never mutates
+  /// it).
+  HttpEventLoop(int port, HttpServerOptions options, HttpRoutes routes);
   ~HttpEventLoop();
 
   HttpEventLoop(const HttpEventLoop&) = delete;
@@ -89,14 +147,11 @@ class HttpEventLoop {
   /// failure.
   void Start();
 
-  /// Stops accepting, drains in-flight handlers and writes, joins the loop
-  /// and the pool. Idempotent.
+  /// Stops accepting, waits for in-flight requests to be answered and
+  /// written, and joins the loop. Idempotent.
   void Stop();
 
   int port() const { return port_; }
-
-  /// Currently open connections (tests assert the --max-connections bound).
-  int open_connections() const { return open_connections_.load(); }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -124,9 +179,9 @@ class HttpEventLoop {
   };
 
   /// Finished responses en route back to the loop thread. Shared (not a
-  /// plain member) because async `done` callbacks outlive the pool: a
-  /// request parked in a backend queue may resolve after the loop — or the
-  /// whole HttpEventLoop — is gone. Callbacks own the sink via shared_ptr
+  /// plain member) because `done` callbacks can outlive the loop: a request
+  /// parked in a backend queue may resolve after the loop — or the whole
+  /// HttpEventLoop — is gone. Callbacks own the sink via shared_ptr
   /// and check `wake_fd` under the mutex; once Stop() set it to -1 a late
   /// completion is dropped, which is correct because every connection was
   /// already closed.
@@ -145,8 +200,8 @@ class HttpEventLoop {
   void AcceptNew();
   void OnReadable(Connection& conn);
   void OnWritable(Connection& conn);
-  /// Tries to cut one complete request out of conn.in: dispatches it to the
-  /// pool (kHandling), queues a 400 for malformed heads, or leaves the
+  /// Tries to cut one complete request out of conn.in: dispatches it to its
+  /// handler (kHandling), queues a 400 for malformed heads, or leaves the
   /// connection reading. May close the connection (oversized head).
   void TryParseAndDispatch(Connection& conn);
   /// Renders and stages a response; the connection enters kWriting.
@@ -158,14 +213,13 @@ class HttpEventLoop {
   void CloseConnection(int fd);
   void Wake();
   int WaitTimeoutMs(Clock::time_point now) const;
-  HttpResponse Dispatch(const HttpRequest& request) const;
+  /// Calls the request's handler (or answers 404/405) with a `done` that
+  /// routes the response back to connection `conn_id`.
+  void Dispatch(uint64_t conn_id, const HttpRequest& request);
 
   const int requested_port_;
   const HttpServerOptions options_;
-  const int handler_threads_;
-  const std::map<std::pair<std::string, std::string>, HttpHandler> routes_;
-  const std::map<std::pair<std::string, std::string>, HttpAsyncHandler>
-      async_routes_;
+  const HttpRoutes routes_;
 
   int port_ = 0;
   int listen_fd_ = -1;
@@ -174,7 +228,6 @@ class HttpEventLoop {
   bool listen_closed_ = false;
 
   std::unique_ptr<Poller> poller_;
-  std::unique_ptr<ThreadPool> pool_;
   std::thread loop_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
@@ -185,7 +238,6 @@ class HttpEventLoop {
   /// number was reused by a new accept) is dropped instead of misdelivered.
   std::unordered_map<int, Connection> connections_;
   std::unordered_map<uint64_t, int> id_to_fd_;
-  std::atomic<int> open_connections_{0};
 
   std::shared_ptr<CompletionSink> sink_;
 };

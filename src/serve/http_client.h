@@ -10,7 +10,7 @@ namespace hire {
 namespace serve {
 
 /// Minimal blocking HTTP/1.1 client for loopback, the counterpart of
-/// HttpServer: one persistent keep-alive connection per instance, so a
+/// HttpEventLoop: one persistent keep-alive connection per instance, so a
 /// closed-loop load-generator client pays the TCP handshake once. Not
 /// thread-safe; use one instance per thread.
 class HttpClient {

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "obs/json.h"
@@ -16,6 +17,9 @@ namespace hire {
 namespace serve {
 
 namespace {
+
+/// Pending /reloads beyond this bound are answered 503 + Retry-After.
+constexpr size_t kReloadQueueCapacity = 64;
 
 /// Parses a /predict body of the form {"user":u,"items":[i,...]}. Returns
 /// false with `error` set on malformed input.
@@ -142,11 +146,10 @@ RatingServer::RatingServer(const data::Dataset* dataset,
       router_(dataset, model_config, std::move(graph),
               ShardRouterConfig{config.num_shards, config.cache_capacity,
                                 config.batcher}),
-      http_(config.port, config.http_threads,
+      http_(config.port,
             HttpServerOptions{config.idle_timeout_ms, config.header_timeout_ms,
-                              config.max_connections}) {
-  RegisterRoutes();
-}
+                              config.max_connections},
+            Routes()) {}
 
 RatingServer::~RatingServer() { Stop(); }
 
@@ -171,28 +174,32 @@ void RatingServer::Start() {
                          "a snapshot";
   }
   router_.Start();
+  // The queue must exist before the first /reload can arrive; the thread
+  // starts once the listener is bound, so a bind failure leaves none to join.
+  reload_queue_ =
+      std::make_unique<BoundedQueue<ReloadJob>>(kReloadQueueCapacity);
   http_.Start();
-  if (config_.stats_tick_ms > 0) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      stats_stop_ = false;
-    }
-    stats_thread_ = std::thread([this] { StatsLoop(); });
-  }
+  reload_thread_ = std::thread([this] { ReloadLoop(); });
   started_ = true;
 }
 
 void RatingServer::Stop() {
   if (!started_) return;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_stop_ = true;
-  }
-  stats_cv_.notify_all();
-  if (stats_thread_.joinable()) stats_thread_.join();
+  // The loop answers every request in flight before it exits, queued
+  // /reloads included: the reload thread keeps draining until the queue
+  // closes below.
   http_.Stop();
+  reload_queue_->Close();
+  reload_thread_.join();
+  reload_queue_.reset();
   router_.Stop();
   started_ = false;
+}
+
+void RatingServer::ReloadLoop() {
+  while (std::optional<ReloadJob> job = reload_queue_->Pop()) {
+    job->done(ReloadReply(job->path));
+  }
 }
 
 double RatingServer::UptimeSeconds() const {
@@ -213,54 +220,6 @@ obs::MetricsRegistry::Snapshot RatingServer::TakeMetricsSnapshot() {
   registry.GetGauge("serve.graph_version")
       ->Set(static_cast<double>(graph_version()));
   return registry.Take();
-}
-
-void RatingServer::StatsTick() {
-  auto& registry = obs::MetricsRegistry::Global();
-  const auto snapshot = registry.Take();
-  const auto it = snapshot.histograms.find("serve.request_latency_us");
-  if (it == snapshot.histograms.end()) return;
-  const obs::HistogramSnapshot delta = latency_window_.Advance(it->second);
-  registry.GetGauge("serve.latency_window_count")
-      ->Set(static_cast<double>(delta.count));
-  // An idle window keeps the previous percentiles (a gap would read as a
-  // latency cliff); serve.latency_window_count tells consumers the gauges
-  // are stale.
-  if (delta.count == 0) return;
-  registry.GetGauge("serve.latency_p50_us")
-      ->Set(obs::HistogramQuantile(delta, 0.50));
-  registry.GetGauge("serve.latency_p95_us")
-      ->Set(obs::HistogramQuantile(delta, 0.95));
-  registry.GetGauge("serve.latency_p99_us")
-      ->Set(obs::HistogramQuantile(delta, 0.99));
-}
-
-void RatingServer::StatsLoop() {
-  std::unique_lock<std::mutex> lock(stats_mutex_);
-  while (!stats_stop_) {
-    if (stats_cv_.wait_for(lock,
-                           std::chrono::milliseconds(config_.stats_tick_ms),
-                           [this] { return stats_stop_; })) {
-      break;
-    }
-    lock.unlock();
-    StatsTick();
-    lock.lock();
-  }
-  // One final tick so short-lived servers still publish window gauges.
-  lock.unlock();
-  StatsTick();
-}
-
-RatingResponse RatingServer::Predict(int64_t user, std::vector<int64_t> items,
-                                     RequestDeadline deadline) {
-  return PredictAsync(user, std::move(items), deadline).get();
-}
-
-std::future<RatingResponse> RatingServer::PredictAsync(
-    int64_t user, std::vector<int64_t> items, RequestDeadline deadline) {
-  // The router owns id validation and per-shard/global outcome accounting.
-  return router_.Submit(user, std::move(items), deadline);
 }
 
 int64_t RatingServer::Reload(const std::string& snapshot_path) {
@@ -312,14 +271,14 @@ bool RatingServer::WaitForShutdown(int timeout_ms) {
                                [this] { return shutdown_requested_; });
 }
 
-void RatingServer::RegisterRoutes() {
-  // Async route: the handler thread is released as soon as the request is
-  // in its shard's queue, and the response is completed from the batcher's
-  // resolve callback. Requests in flight are therefore bounded by per-shard
-  // admission control (queue + max-inflight), not by --http-threads — the
-  // property that lets every shard keep full batches under load.
-  http_.AddAsyncRoute("POST", "/predict", [this](const HttpRequest& request,
-                                                 HttpDone done) {
+HttpRoutes RatingServer::Routes() {
+  HttpRoutes routes;
+  // The loop thread only parses and submits; the response is completed from
+  // the batcher's resolve callback. Requests in flight are therefore bounded
+  // by per-shard admission control (queue + max-inflight) — the property
+  // that lets every shard keep full batches under load.
+  routes[{"POST", "/predict"}] = [this](const HttpRequest& request,
+                                        HttpDone done) {
     int64_t user = 0;
     std::vector<int64_t> items;
     std::string error;
@@ -371,9 +330,9 @@ void RatingServer::RegisterRoutes() {
           };
           done(std::move(http));
         });
-  });
+  };
 
-  http_.AddRoute("GET", "/healthz", [this](const HttpRequest&) {
+  routes[{"GET", "/healthz"}] = [this](const HttpRequest&, HttpDone done) {
     // Liveness stays 200 even without a model: the server still answers
     // (degraded), and restart-looping it would not help. "degraded" means
     // ANY shard lacks a model or has its breaker open; the top-level
@@ -393,75 +352,84 @@ void RatingServer::RegisterRoutes() {
         ",\"shards\":" + std::to_string(router_.num_shards()) +
         ",\"shard_versions\":" + JsonInt64Array(router_.ShardModelVersions()) +
         "}";
-    return HttpResponse{200, "application/json", body};
-  });
+    done({200, "application/json", body});
+  };
 
-  http_.AddRoute("GET", "/metrics", [this](const HttpRequest& request) {
+  routes[{"GET", "/metrics"}] = [this](const HttpRequest& request,
+                                       HttpDone done) {
     const auto snapshot = TakeMetricsSnapshot();
     if (WantsPrometheus(request.query)) {
-      return HttpResponse{200, obs::kPrometheusContentType,
-                          obs::ToPrometheusText(snapshot)};
+      done({200, obs::kPrometheusContentType,
+            obs::ToPrometheusText(snapshot)});
+      return;
     }
-    return HttpResponse{
-        200, "application/json",
-        MetricsJsonWithHeader(snapshot.ToJson(), UptimeSeconds())};
-  });
+    done({200, "application/json",
+          MetricsJsonWithHeader(snapshot.ToJson(), UptimeSeconds())});
+  };
 
   // Scraper-friendly alias: same exposition, no query string needed.
-  http_.AddRoute("GET", "/metrics/prometheus", [this](const HttpRequest&) {
-    return HttpResponse{200, obs::kPrometheusContentType,
-                        obs::ToPrometheusText(TakeMetricsSnapshot())};
-  });
+  routes[{"GET", "/metrics/prometheus"}] = [this](const HttpRequest&,
+                                                  HttpDone done) {
+    done({200, obs::kPrometheusContentType,
+          obs::ToPrometheusText(TakeMetricsSnapshot())});
+  };
 
-  http_.AddRoute("POST", "/reload", [this](const HttpRequest& request) {
+  // A rolling reload takes time that grows with the model, so it must not
+  // run on the loop: only the body check happens here.
+  routes[{"POST", "/reload"}] = [this](const HttpRequest& request,
+                                       HttpDone done) {
     std::string path;
     if (!request.body.empty()) {
       std::string json_error;
       if (!obs::JsonValidate(request.body, &json_error)) {
-        return HttpResponse{400, "application/json",
-                            "{\"error\":" + obs::JsonString(
-                                                "invalid JSON: " + json_error) +
-                                "}"};
+        done({400, "application/json",
+              "{\"error\":" +
+                  obs::JsonString("invalid JSON: " + json_error) + "}"});
+        return;
       }
       obs::FindJsonStringField(request.body, "model", &path);
     }
-    try {
-      const RollingReloadResult result = ReloadDetailed(path);
-      const std::string versions = JsonInt64Array(result.shard_versions);
-      if (result.ok) {
-        return HttpResponse{
-            200, "application/json",
-            "{\"model_version\":" + std::to_string(result.version) +
-                ",\"shard_versions\":" + versions + "}"};
-      }
-      // Partial failure: shards that swapped keep the new snapshot, the sick
-      // ones keep serving their previous one (or degrade) — 500 tells the
-      // operator the roll did not fully land.
-      std::string message;
-      for (size_t i = 0; i < result.errors.size(); ++i) {
-        if (result.errors[i].empty()) continue;
-        if (!message.empty()) message += "; ";
-        message += "shard " + std::to_string(i) + ": " + result.errors[i];
-      }
-      return HttpResponse{
-          500, "application/json",
-          "{\"error\":" + obs::JsonString(message) +
-              ",\"failed_shards\":" + std::to_string(result.failed_shards) +
-              ",\"model_version\":" + std::to_string(result.version) +
-              ",\"shard_versions\":" + versions + "}"};
-    } catch (const std::exception& error) {
-      return HttpResponse{500, "application/json",
-                          "{\"error\":" +
-                              obs::JsonString(std::string(error.what())) +
-                              "}"};
+    ReloadJob job{std::move(path), done};
+    if (!reload_queue_->TryPush(std::move(job))) {
+      done({503, "application/json", "{\"error\":\"reload queue full\"}",
+            {{"Retry-After", "1"}}});
     }
-  });
+  };
 
-  http_.AddRoute("POST", "/shutdown", [this](const HttpRequest&) {
+  routes[{"POST", "/shutdown"}] = [this](const HttpRequest&, HttpDone done) {
     RequestShutdown();
-    return HttpResponse{200, "application/json",
-                        "{\"status\":\"shutting down\"}"};
-  });
+    done({200, "application/json", "{\"status\":\"shutting down\"}"});
+  };
+  return routes;
+}
+
+HttpResponse RatingServer::ReloadReply(const std::string& snapshot_path) {
+  try {
+    const RollingReloadResult result = ReloadDetailed(snapshot_path);
+    const std::string versions = JsonInt64Array(result.shard_versions);
+    if (result.ok) {
+      return {200, "application/json",
+              "{\"model_version\":" + std::to_string(result.version) +
+                  ",\"shard_versions\":" + versions + "}"};
+    }
+    // Partial failure: shards that swapped keep the new snapshot, the sick
+    // ones keep serving their previous one (or degrade) — 500 tells the
+    // operator the roll did not fully land.
+    std::string message;
+    for (size_t i = 0; i < result.errors.size(); ++i) {
+      if (result.errors[i].empty()) continue;
+      if (!message.empty()) message += "; ";
+      message += "shard " + std::to_string(i) + ": " + result.errors[i];
+    }
+    return {500, "application/json",
+            "{\"error\":" + obs::JsonString(message) +
+                ",\"failed_shards\":" + std::to_string(result.failed_shards) +
+                ",\"model_version\":" + std::to_string(result.version) +
+                ",\"shard_versions\":" + versions + "}"};
+  } catch (const std::exception& error) {
+    return {500, "application/json",
+            "{\"error\":" + obs::JsonString(std::string(error.what())) + "}"};
+  }
 }
 
 }  // namespace serve

@@ -13,11 +13,9 @@
 #include "core/hire_config.h"
 #include "data/dataset.h"
 #include "graph/bipartite_graph.h"
-#include "obs/window.h"
 #include "serve/batcher.h"
-#include "serve/context_cache.h"
-#include "serve/http_server.h"
-#include "serve/inference_engine.h"
+#include "serve/bounded_queue.h"
+#include "serve/event_loop.h"
 #include "serve/shard_router.h"
 
 namespace hire {
@@ -26,9 +24,6 @@ namespace serve {
 struct ServeConfig {
   /// HTTP listen port; 0 picks an ephemeral port (read back via port()).
   int port = 0;
-  /// Handler threads for the HTTP event loop (separate from the tensor
-  /// pool).
-  int http_threads = 4;
   /// Engine shards behind this server. Each shard owns its own
   /// InferenceEngine + ContextCache + MicroBatcher; /predict routes by
   /// user-id consistent hashing (see serve/shard_router.h).
@@ -45,17 +40,15 @@ struct ServeConfig {
   /// Connection hygiene (slow-loris defense); see HttpServerOptions.
   int idle_timeout_ms = 5000;
   int header_timeout_ms = 2000;
-  /// Background stats tick period: every tick recomputes the rolling-window
-  /// latency percentile gauges (serve.latency_p50_us/p95_us/p99_us) from the
-  /// request-latency histogram delta since the previous tick (0 = disabled).
-  int64_t stats_tick_ms = 1000;
   BatcherConfig batcher;
 };
 
 /// The assembled serving stack: a ShardRouter (N engine shards, each its own
 /// hot-swappable InferenceEngine + ContextCache + MicroBatcher) behind one
-/// HttpServer event-loop front-end, plus the in-process request path used by
-/// tests and the load generator.
+/// HttpEventLoop. Every route runs inline on the loop thread except the
+/// rolling reload, whose time grows with the model: /reload queues its work
+/// on one reload thread, so reloads run one at a time, in arrival order,
+/// while the loop keeps serving.
 ///
 /// Endpoints:
 ///   POST /predict  {"user":u,"items":[i,...]} -> predictions (+"shard")
@@ -77,22 +70,14 @@ class RatingServer {
   RatingServer& operator=(const RatingServer&) = delete;
 
   /// Loads config.model_path into every shard (when set), then starts the
-  /// shard batcher workers and the HTTP listener. Throws hire::CheckError on
-  /// load/bind failure.
+  /// shard batcher workers, the reload thread and the HTTP listener. Throws
+  /// hire::CheckError on load/bind failure.
   void Start();
+  /// Stops the listener (answering requests in flight), lets queued reloads
+  /// finish and joins the reload thread, then stops the shards.
   void Stop();
 
   int port() const { return http_.port(); }
-
-  /// In-process client path: identical semantics to POST /predict but with
-  /// no HTTP hop. Blocks until the micro-batch completes. `deadline`
-  /// overrides the configured default request deadline.
-  RatingResponse Predict(int64_t user, std::vector<int64_t> items,
-                         RequestDeadline deadline = std::nullopt);
-  std::future<RatingResponse> PredictAsync(int64_t user,
-                                           std::vector<int64_t> items,
-                                           RequestDeadline deadline =
-                                               std::nullopt);
 
   /// Rolling hot-swap to `snapshot_path` (empty = config.model_path), one
   /// shard at a time. Returns the new (min) model version. Throws when any
@@ -116,43 +101,45 @@ class RatingServer {
   /// Waits up to `timeout_ms` for a shutdown request; true once requested.
   bool WaitForShutdown(int timeout_ms);
 
+  /// The in-process request path (SubmitAsync), same semantics as POST
+  /// /predict with no HTTP hop.
   ShardRouter& router() { return router_; }
   int num_shards() const { return router_.num_shards(); }
-  /// Single-shard compatibility accessors (shard 0).
-  InferenceEngine& engine() { return router_.engine(0); }
-  ContextCache& cache() { return router_.cache(0); }
-  MicroBatcher& batcher() { return router_.batcher(0); }
 
   /// Seconds since this server was constructed.
   double UptimeSeconds() const;
 
  private:
-  void RegisterRoutes();
+  /// One queued /reload: the snapshot to roll ("" = config.model_path) and
+  /// the request's completion.
+  struct ReloadJob {
+    std::string path;
+    HttpDone done;
+  };
+
+  HttpRoutes Routes();
+  /// Runs one rolling reload and renders the /reload reply.
+  HttpResponse ReloadReply(const std::string& snapshot_path);
+  void ReloadLoop();
   /// Refreshes the point-in-time gauges every snapshot should carry
   /// (uptime, published versions), then returns a registry snapshot.
   obs::MetricsRegistry::Snapshot TakeMetricsSnapshot();
-  /// One stats tick: recomputes the rolling-window percentile gauges from
-  /// the request-latency histogram delta since the previous tick.
-  void StatsTick();
-  void StatsLoop();
 
   const ServeConfig config_;
   const std::chrono::steady_clock::time_point start_time_ =
       std::chrono::steady_clock::now();
   ShardRouter router_;
-  HttpServer http_;
+  HttpEventLoop http_;
+
+  /// /reload work, fed by the loop thread and drained by reload_thread_.
+  /// Recreated by every Start() because a closed queue stays closed.
+  std::unique_ptr<BoundedQueue<ReloadJob>> reload_queue_;
+  std::thread reload_thread_;
 
   std::mutex shutdown_mutex_;
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
   bool started_ = false;
-
-  // Rolling-window percentile state (stats thread only).
-  obs::HistogramWindow latency_window_;
-  std::thread stats_thread_;
-  std::mutex stats_mutex_;
-  std::condition_variable stats_cv_;
-  bool stats_stop_ = false;
 };
 
 }  // namespace serve

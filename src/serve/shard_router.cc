@@ -134,18 +134,6 @@ int ShardRouter::ShardForUser(int64_t user) const {
   return ring_.ShardForKey(static_cast<uint64_t>(user));
 }
 
-std::future<RatingResponse> ShardRouter::Submit(int64_t user,
-                                                std::vector<int64_t> items,
-                                                RequestDeadline deadline) {
-  auto promise = std::make_shared<std::promise<RatingResponse>>();
-  std::future<RatingResponse> future = promise->get_future();
-  SubmitAsync(user, std::move(items), deadline,
-              [promise](RatingResponse response) {
-                promise->set_value(std::move(response));
-              });
-  return future;
-}
-
 void ShardRouter::SubmitAsync(int64_t user, std::vector<int64_t> items,
                               RequestDeadline deadline, PredictCallback done) {
   EngineShard& shard = *shards_[static_cast<size_t>(ShardForUser(user))];

@@ -2,7 +2,6 @@
 #define HIRE_SERVE_SHARD_ROUTER_H_
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -105,11 +104,6 @@ class ShardRouter {
   void SubmitAsync(int64_t user, std::vector<int64_t> items,
                    RequestDeadline deadline, PredictCallback done);
 
-  /// Future-returning convenience wrapper over SubmitAsync (tests and
-  /// callers that want to block).
-  std::future<RatingResponse> Submit(int64_t user, std::vector<int64_t> items,
-                                     RequestDeadline deadline = std::nullopt);
-
   /// Rolling hot-swap: loads `snapshot_path` into one shard at a time, in
   /// shard order. Each shard's swap is an atomic snapshot-pointer publish —
   /// batches that already Acquire()d the old snapshot drain on it, so no
@@ -134,10 +128,8 @@ class ShardRouter {
   int64_t total_queue_depth() const;
   std::vector<int64_t> ShardModelVersions() const;
 
-  /// Per-shard components (tests and the single-shard compat accessors).
-  InferenceEngine& engine(int shard) { return *shards_[shard]->engine; }
+  /// One shard's context cache (tests check per-shard isolation).
   ContextCache& cache(int shard) { return *shards_[shard]->cache; }
-  MicroBatcher& batcher(int shard) { return *shards_[shard]->batcher; }
 
  private:
   struct EngineShard {

@@ -6,10 +6,10 @@
 #include <limits>
 #include <memory>
 
+#include "obs/kernel_timers.h"
 #include "utils/check.h"
 #include "utils/cost_model.h"
 #include "utils/parallel.h"
-#include "utils/stopwatch.h"
 
 namespace hire {
 namespace ops {

@@ -20,10 +20,9 @@ class Flags;
 // chunk, never what the chunk covers — so kernels that keep each output
 // element inside one chunk stay bitwise reproducible for any thread count.
 //
-// The coarse-task `ThreadPool` (utils/thread_pool.h) is a separate facility
-// for long-running, blocking jobs (e.g. serve's connection handlers); this
-// runtime spins briefly before parking and must only run short CPU-bound
-// chunks.
+// This runtime spins briefly before parking and must only run short
+// CPU-bound chunks; long-running or blocking jobs (the serve tier's event
+// loop, batch workers and reload thread) run on their own std::threads.
 // ---------------------------------------------------------------------------
 
 /// Logical parallelism of the process-wide runtime. Resolution order:

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -21,12 +22,11 @@
 #include "graph/bipartite_graph.h"
 #include "graph/samplers.h"
 #include "obs/json.h"
+#include "obs/kernel_timers.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "utils/check.h"
-#include "utils/stopwatch.h"  // compat shim: must still provide KernelTimers
-#include "utils/thread_pool.h"
 
 namespace hire {
 namespace {
@@ -83,19 +83,19 @@ TEST(MetricsTest, CounterIncrementsAndRegistryReturnsStableHandle) {
   EXPECT_EQ(registry.GetCounter("test.counter_basic"), counter);
 }
 
-TEST(MetricsTest, ConcurrentCounterIncrementsFromThreadPoolAllLand) {
+TEST(MetricsTest, ConcurrentCounterIncrementsFromManyThreadsAllLand) {
   obs::Counter* counter =
       MetricsRegistry::Global().GetCounter("test.counter_concurrent");
   counter->Reset();
   constexpr int kTasks = 16;
   constexpr int kIncrementsPerTask = 5000;
-  ThreadPool pool(4);
+  std::vector<std::thread> threads;
   for (int t = 0; t < kTasks; ++t) {
-    pool.Submit([counter] {
+    threads.emplace_back([counter] {
       for (int i = 0; i < kIncrementsPerTask; ++i) counter->Increment();
     });
   }
-  pool.Wait();
+  for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(counter->Value(),
             static_cast<uint64_t>(kTasks) * kIncrementsPerTask);
 }
@@ -186,7 +186,7 @@ TEST(HistogramTest, MergeAndDeltaCombinePopulations) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel timers (including the utils/stopwatch.h compat include above).
+// Kernel timers.
 // ---------------------------------------------------------------------------
 
 TEST(KernelTimersTest, AllEightCategoriesAccumulateAndPrint) {
@@ -217,11 +217,6 @@ TEST(KernelTimersTest, BackedByRegistryCounters) {
   KernelTimers::Reset();
 }
 
-TEST(KernelTimersTest, StopwatchCompatHeaderStillWorks) {
-  Stopwatch stopwatch;  // via utils/stopwatch.h shim
-  EXPECT_GE(stopwatch.ElapsedSeconds(), 0.0);
-}
-
 // ---------------------------------------------------------------------------
 // Tracer.
 // ---------------------------------------------------------------------------
@@ -243,16 +238,15 @@ TEST(TracerTest, RecordsSpansAcrossThreadsAndExportsValidChromeTrace) {
   obs::EmitSpan("explicit_span", obs::TraceNowNanos(),
                 obs::TraceNowNanos() + 1000);
   {
-    ThreadPool pool(2);
+    std::vector<std::thread> workers;
     for (int t = 0; t < 4; ++t) {
-      pool.Submit([] { HIRE_TRACE_SCOPE("worker_span"); });
+      workers.emplace_back([] { HIRE_TRACE_SCOPE("worker_span"); });
     }
-    pool.Wait();
+    for (std::thread& worker : workers) worker.join();
   }
   obs::Tracer::Stop();
-  // main + explicit + 4 worker spans + 4 pool_task spans (thread pool
-  // instrumentation wraps every task).
-  EXPECT_GE(obs::Tracer::TotalSpans(), 10u);
+  // main + explicit + 4 worker spans.
+  EXPECT_GE(obs::Tracer::TotalSpans(), 6u);
   EXPECT_EQ(obs::Tracer::DroppedSpans(), 0u);
 
   const std::string json = obs::Tracer::ToChromeTraceJson();
@@ -260,7 +254,7 @@ TEST(TracerTest, RecordsSpansAcrossThreadsAndExportsValidChromeTrace) {
   EXPECT_TRUE(obs::JsonValidate(json, &error)) << error;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   for (const char* name :
-       {"main_thread_span", "explicit_span", "worker_span", "pool_task"}) {
+       {"main_thread_span", "explicit_span", "worker_span"}) {
     EXPECT_NE(json.find("\"name\":\"" + std::string(name) + "\""),
               std::string::npos)
         << "missing span " << name;

@@ -1,5 +1,5 @@
 // Tests for the Prometheus text exposition (obs/prometheus.h) and the
-// rolling-window percentile helpers (obs/window.h).
+// histogram percentile estimate (obs/window.h).
 
 #include <cstdint>
 #include <sstream>
@@ -178,28 +178,6 @@ TEST(HistogramQuantileTest, OverflowSaturatesAtLastBound) {
   const HistogramSnapshot snapshot =
       MakeHistogram({1.0, 2.0}, {1, 1, 8}, 100.0);
   EXPECT_EQ(HistogramQuantile(snapshot, 0.99), 2.0);
-}
-
-TEST(HistogramWindowTest, AdvanceReturnsDeltas) {
-  HistogramWindow window;
-  const HistogramSnapshot first =
-      MakeHistogram({1.0, 2.0}, {3, 1, 0}, 4.0);
-  const HistogramSnapshot delta1 = window.Advance(first);
-  EXPECT_EQ(delta1.count, 4u);  // first window = everything so far
-
-  HistogramSnapshot second = first;
-  second.bucket_counts[1] += 5;
-  second.count += 5;
-  second.sum += 8.0;
-  const HistogramSnapshot delta2 = window.Advance(second);
-  EXPECT_EQ(delta2.count, 5u);
-  EXPECT_EQ(delta2.bucket_counts[0], 0u);
-  EXPECT_EQ(delta2.bucket_counts[1], 5u);
-  EXPECT_DOUBLE_EQ(delta2.sum, 8.0);
-
-  // An idle window yields an empty delta.
-  const HistogramSnapshot delta3 = window.Advance(second);
-  EXPECT_EQ(delta3.count, 0u);
 }
 
 }  // namespace

@@ -1,17 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,9 +38,11 @@
 #include "serve/batcher.h"
 #include "serve/bounded_queue.h"
 #include "serve/context_cache.h"
+#include "serve/event_loop.h"
 #include "serve/http_client.h"
 #include "serve/inference_engine.h"
 #include "serve/server.h"
+#include "serve_test_util.h"
 #include "utils/check.h"
 #include "utils/fault_injection.h"
 
@@ -73,7 +83,6 @@ ServeConfig SmallServeConfig(const std::string& model_path,
                              int64_t batch_window_us = 2000) {
   ServeConfig config;
   config.port = 0;  // ephemeral
-  config.http_threads = 2;
   config.cache_capacity = 64;
   config.model_path = model_path;
   config.batcher.batch_window_us = batch_window_us;
@@ -266,15 +275,15 @@ TEST(MicroBatcherTest, OverloadResolvesTheFutureWithAnOverloadedError) {
 
   // The worker pops this request, then parks in the graph provider. Once
   // the queue is empty the worker cannot pop again until released.
-  std::future<RatingResponse> parked = batcher.Submit(3, {1});
+  std::future<RatingResponse> parked = SubmitFuture(batcher, 3, {1});
   while (batcher.queue_depth() != 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Fills the capacity-1 queue.
-  std::future<RatingResponse> queued = batcher.Submit(4, {1});
+  std::future<RatingResponse> queued = SubmitFuture(batcher, 4, {1});
   // Overflows: the future must come back already resolved as overloaded —
   // not broken, and not an internal error.
-  std::future<RatingResponse> rejected = batcher.Submit(5, {1});
+  std::future<RatingResponse> rejected = SubmitFuture(batcher, 5, {1});
   ASSERT_EQ(rejected.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   const RatingResponse response = rejected.get();
@@ -311,7 +320,7 @@ TEST(MicroBatcherTest, RequestsBornExpiredResolveWithDeadlineExceeded) {
 
   const auto past = std::chrono::steady_clock::now() -
                     std::chrono::milliseconds(5);
-  std::future<RatingResponse> expired = batcher.Submit(3, {1}, past);
+  std::future<RatingResponse> expired = SubmitFuture(batcher, 3, {1}, past);
   ASSERT_EQ(expired.wait_for(std::chrono::seconds(0)),
             std::future_status::ready)
       << "an already-expired request must resolve at admission";
@@ -346,12 +355,12 @@ TEST(MicroBatcherTest, DeadlinesExpireWhileQueuedBehindASlowBatch) {
 
   // The first request parks the worker; the second waits in the queue until
   // its deadline has passed, so the dequeue-time check must expire it.
-  std::future<RatingResponse> parked = batcher.Submit(3, {1});
+  std::future<RatingResponse> parked = SubmitFuture(batcher, 3, {1});
   while (batcher.queue_depth() != 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  std::future<RatingResponse> queued = batcher.Submit(
-      4, {1},
+  std::future<RatingResponse> queued = SubmitFuture(
+      batcher, 4, {1},
       std::chrono::steady_clock::now() + std::chrono::milliseconds(20));
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   release.set_value();
@@ -386,9 +395,9 @@ TEST(MicroBatcherTest, InflightCapShedsBeforeQueueing) {
                        });
   batcher.Start();
 
-  std::future<RatingResponse> admitted = batcher.Submit(3, {1});
+  std::future<RatingResponse> admitted = SubmitFuture(batcher, 3, {1});
   EXPECT_EQ(batcher.inflight(), 1);
-  std::future<RatingResponse> shed = batcher.Submit(4, {1});
+  std::future<RatingResponse> shed = SubmitFuture(batcher, 4, {1});
   ASSERT_EQ(shed.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   const RatingResponse response = shed.get();
@@ -418,7 +427,7 @@ TEST(MicroBatcherTest, NoModelServesUserMeanFallbackAndRecoversOnLoad) {
                        [versioned] { return versioned; });
   batcher.Start();
 
-  const RatingResponse degraded = batcher.Submit(3, {1, 2}).get();
+  const RatingResponse degraded = SubmitAndWait(batcher, 3, {1, 2});
   ASSERT_TRUE(degraded.ok) << degraded.error;
   EXPECT_TRUE(degraded.degraded);
   ASSERT_EQ(degraded.predictions.size(), 2u);
@@ -432,7 +441,7 @@ TEST(MicroBatcherTest, NoModelServesUserMeanFallbackAndRecoversOnLoad) {
   // Recovery is automatic: publishing a snapshot routes the next batch back
   // through the model.
   engine.Load(model);
-  const RatingResponse recovered = batcher.Submit(3, {1, 2}).get();
+  const RatingResponse recovered = SubmitAndWait(batcher, 3, {1, 2});
   ASSERT_TRUE(recovered.ok) << recovered.error;
   EXPECT_FALSE(recovered.degraded);
   EXPECT_EQ(recovered.model_version, 1);
@@ -462,23 +471,23 @@ TEST(MicroBatcherTest, CircuitBreakerOpensOnRepeatedFailuresAndRecovers) {
 
   FaultInjector::Global().ArmServeFailForward(2);
   // First failure: below the threshold, surfaces as an internal error.
-  const RatingResponse first = batcher.Submit(3, {1}).get();
+  const RatingResponse first = SubmitAndWait(batcher, 3, {1});
   EXPECT_FALSE(first.ok);
   EXPECT_FALSE(batcher.circuit_open());
   // Second consecutive failure trips the breaker; the failing request is
   // already answered with the fallback instead of a second error.
-  const RatingResponse second = batcher.Submit(4, {1}).get();
+  const RatingResponse second = SubmitAndWait(batcher, 4, {1});
   EXPECT_TRUE(second.ok) << second.error;
   EXPECT_TRUE(second.degraded);
   EXPECT_TRUE(batcher.circuit_open());
   // While open, requests never reach the (now healthy) model.
-  const RatingResponse third = batcher.Submit(5, {1}).get();
+  const RatingResponse third = SubmitAndWait(batcher, 5, {1});
   EXPECT_TRUE(third.ok) << third.error;
   EXPECT_TRUE(third.degraded);
 
   // A newly published snapshot closes the breaker immediately.
   engine.Load(model_b);
-  const RatingResponse recovered = batcher.Submit(6, {1}).get();
+  const RatingResponse recovered = SubmitAndWait(batcher, 6, {1});
   EXPECT_TRUE(recovered.ok) << recovered.error;
   EXPECT_FALSE(recovered.degraded);
   EXPECT_EQ(recovered.model_version, 2);
@@ -506,11 +515,11 @@ TEST(MicroBatcherTest, OutcomeCountersPartitionAllTraffic) {
   batcher.Start();
 
   const auto before = obs::MetricsRegistry::Global().Take();
-  batcher.Submit(3, {1, 2}).get();                       // served
-  batcher.Submit(4, {}).get();                           // failed (bad req)
-  batcher.Submit(5, {1},                                 // expired
+  SubmitAndWait(batcher, 3, {1, 2});                       // served
+  SubmitAndWait(batcher, 4, {});                           // failed (bad req)
+  SubmitAndWait(batcher, 5, {1},                                 // expired
                  std::chrono::steady_clock::now() -
-                     std::chrono::milliseconds(1)).get();
+                     std::chrono::milliseconds(1));
   const auto delta = obs::MetricsRegistry::Global().Take().Delta(before);
   auto counter = [&delta](const std::string& name) -> uint64_t {
     const auto it = delta.counters.find(name);
@@ -581,7 +590,7 @@ TEST(InferenceEngineTest, PacksOncePerLoadNeverPerRequest) {
   constexpr int kRequests = 12;
   for (int i = 0; i < kRequests; ++i) {
     const RatingResponse response =
-        batcher.Submit(1 + i % 5, {1, 2, 3}).get();
+        SubmitAndWait(batcher, 1 + i % 5, {1, 2, 3});
     ASSERT_TRUE(response.ok) << response.error;
   }
   batcher.Stop();
@@ -624,15 +633,15 @@ TEST(MicroBatcherTest, BatchRevalidatesIdsAgainstTheGraphItRunsOn) {
   // on (it may have shrunk in between) and fail the request as a bad
   // request, not crash the group.
   const RatingResponse bad_user =
-      batcher.Submit(dataset.num_users(), {1}).get();
+      SubmitAndWait(batcher, dataset.num_users(), {1});
   EXPECT_FALSE(bad_user.ok);
   EXPECT_EQ(bad_user.error.rfind("bad request", 0), 0u) << bad_user.error;
   const RatingResponse bad_item =
-      batcher.Submit(3, {dataset.num_items()}).get();
+      SubmitAndWait(batcher, 3, {dataset.num_items()});
   EXPECT_FALSE(bad_item.ok);
   EXPECT_EQ(bad_item.error.rfind("bad request", 0), 0u) << bad_item.error;
   // An in-range request on the same batcher still succeeds.
-  const RatingResponse good = batcher.Submit(3, {1, 2}).get();
+  const RatingResponse good = SubmitAndWait(batcher, 3, {1, 2});
   EXPECT_TRUE(good.ok) << good.error;
   batcher.Stop();
 }
@@ -651,7 +660,7 @@ TEST(RatingServerTest, PredictReturnsOnePredictionPerItemInRange) {
   server.Start();
 
   const std::vector<int64_t> items{3, 9, 27};
-  const RatingResponse response = server.Predict(5, items);
+  const RatingResponse response = SubmitAndWait(server.router(), 5, items);
   ASSERT_TRUE(response.ok) << response.error;
   ASSERT_EQ(response.predictions.size(), items.size());
   for (float p : response.predictions) {
@@ -672,14 +681,16 @@ TEST(RatingServerTest, RejectsMalformedAndOutOfRangeRequests) {
                       SmallServeConfig(model));
   server.Start();
 
-  EXPECT_FALSE(server.Predict(5, {}).ok) << "empty item list must fail";
-  EXPECT_FALSE(server.Predict(-1, {1}).ok);
-  EXPECT_FALSE(server.Predict(dataset.num_users(), {1}).ok);
-  EXPECT_FALSE(server.Predict(5, {dataset.num_items()}).ok);
-  EXPECT_FALSE(server.Predict(5, std::vector<int64_t>(64, 1)).ok)
+  EXPECT_FALSE(SubmitAndWait(server.router(), 5, {}).ok)
+      << "empty item list must fail";
+  EXPECT_FALSE(SubmitAndWait(server.router(), -1, {1}).ok);
+  EXPECT_FALSE(SubmitAndWait(server.router(), dataset.num_users(), {1}).ok);
+  EXPECT_FALSE(SubmitAndWait(server.router(), 5, {dataset.num_items()}).ok);
+  EXPECT_FALSE(
+      SubmitAndWait(server.router(), 5, std::vector<int64_t>(64, 1)).ok)
       << "more items than the context budget must fail";
   // And a valid request still succeeds afterwards.
-  EXPECT_TRUE(server.Predict(5, {1, 2}).ok);
+  EXPECT_TRUE(SubmitAndWait(server.router(), 5, {1, 2}).ok);
   server.Stop();
 }
 
@@ -696,7 +707,7 @@ TEST(RatingServerTest, ConcurrentRequestsCoalesceIntoSharedForwards) {
   const auto before = obs::MetricsRegistry::Global().Take();
   std::vector<std::future<RatingResponse>> futures;
   for (int64_t user = 0; user < 4; ++user) {
-    futures.push_back(server.PredictAsync(user, {1, 2}));
+    futures.push_back(SubmitFuture(server.router(), user, {1, 2}));
   }
   int64_t max_batch_users = 0;
   for (auto& future : futures) {
@@ -726,7 +737,7 @@ TEST(RatingServerTest, CoBatchedUsersAllReadComputedRows) {
   const auto before = obs::MetricsRegistry::Global().Take();
   std::vector<std::future<RatingResponse>> futures;
   for (const int64_t user : {9, 3, 6}) {
-    futures.push_back(server.PredictAsync(user, {1, 2, 5}));
+    futures.push_back(SubmitFuture(server.router(), user, {1, 2, 5}));
   }
   for (auto& future : futures) {
     const RatingResponse response = future.get();
@@ -754,15 +765,15 @@ TEST(RatingServerTest, CacheHitOnRepeatAndInvalidationOnGraphUpdate) {
                       SmallServeConfig(model));
   server.Start();
 
-  const RatingResponse cold = server.Predict(7, {1, 2});
+  const RatingResponse cold = SubmitAndWait(server.router(), 7, {1, 2});
   ASSERT_TRUE(cold.ok) << cold.error;
   EXPECT_FALSE(cold.cache_hit);
-  const RatingResponse warm = server.Predict(7, {3, 4});
+  const RatingResponse warm = SubmitAndWait(server.router(), 7, {3, 4});
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_TRUE(warm.cache_hit) << "second request for a user must hit the "
                                  "context cache";
   // Deterministic serving: an identical request replays bit-identically.
-  const RatingResponse replay = server.Predict(7, {1, 2});
+  const RatingResponse replay = SubmitAndWait(server.router(), 7, {1, 2});
   ASSERT_TRUE(replay.ok);
   ASSERT_EQ(replay.predictions.size(), cold.predictions.size());
   for (size_t i = 0; i < cold.predictions.size(); ++i) {
@@ -774,7 +785,7 @@ TEST(RatingServerTest, CacheHitOnRepeatAndInvalidationOnGraphUpdate) {
                                 dataset.ratings());
   server.UpdateGraph(std::move(updated));
   EXPECT_EQ(server.graph_version(), 2);
-  const RatingResponse after = server.Predict(7, {1, 2});
+  const RatingResponse after = SubmitAndWait(server.router(), 7, {1, 2});
   ASSERT_TRUE(after.ok) << after.error;
   EXPECT_FALSE(after.cache_hit);
   EXPECT_EQ(after.graph_version, 2);
@@ -793,8 +804,8 @@ TEST(RatingServerTest, ContextCacheInvalidatesAcrossReloadWithNewGraph) {
 
   const auto before = obs::MetricsRegistry::Global().Take();
   // Warm the cache for one user: one miss, then one hit.
-  ASSERT_TRUE(server.Predict(9, {1, 2}).ok);
-  const RatingResponse warm = server.Predict(9, {3});
+  ASSERT_TRUE(SubmitAndWait(server.router(), 9, {1, 2}).ok);
+  const RatingResponse warm = SubmitAndWait(server.router(), 9, {3});
   ASSERT_TRUE(warm.ok);
   EXPECT_TRUE(warm.cache_hit);
 
@@ -805,7 +816,7 @@ TEST(RatingServerTest, ContextCacheInvalidatesAcrossReloadWithNewGraph) {
                                 dataset.ratings());
   server.UpdateGraph(std::move(updated));
 
-  const RatingResponse after = server.Predict(9, {1, 2});
+  const RatingResponse after = SubmitAndWait(server.router(), 9, {1, 2});
   ASSERT_TRUE(after.ok) << after.error;
   EXPECT_FALSE(after.cache_hit)
       << "a plan cached for graph v1 must not serve graph v2";
@@ -839,7 +850,7 @@ TEST(RatingServerTest, HotSwapUnderLoadNeverFailsARequest) {
     int64_t user = 0;
     while (!stop.load()) {
       const RatingResponse response =
-          server.Predict(user % dataset.num_users(), {1, 2, 3});
+          SubmitAndWait(server.router(), user % dataset.num_users(), {1, 2, 3});
       if (!response.ok) {
         failures.fetch_add(1);
       } else {
@@ -885,18 +896,25 @@ int ConnectLoopback(int port) {
   return fd;
 }
 
-TEST(HttpServerTest, StalledRequestGets408AndIdleConnectionIsClosed) {
-  HttpServer http(0, 2, HttpServerOptions{/*idle_timeout_ms=*/300,
-                                          /*header_timeout_ms=*/200});
-  http.AddRoute("GET", "/ping", [](const HttpRequest&) {
-    return HttpResponse{200, "application/json", "{}"};
-  });
+HttpRoutes PingRoute() {
+  HttpRoutes routes;
+  routes[{"GET", "/ping"}] = [](const HttpRequest&, HttpDone done) {
+    done({200, "application/json", "{}"});
+  };
+  return routes;
+}
+
+TEST(HttpEventLoopTest, StalledRequestGets408AndIdleConnectionIsClosed) {
+  HttpEventLoop http(0,
+                     HttpServerOptions{/*idle_timeout_ms=*/300,
+                                       /*header_timeout_ms=*/200},
+                     PingRoute());
   http.Start();
 
   const auto before = obs::MetricsRegistry::Global().Take();
   {
     // Slow-loris: send half a request head and stall. The header-read
-    // deadline must answer 408 and close instead of pinning the thread.
+    // deadline must answer 408 and close instead of holding the connection.
     const int fd = ConnectLoopback(http.port());
     const std::string partial = "GET /ping HTTP/1.1\r\n";
     ASSERT_EQ(::send(fd, partial.data(), partial.size(), 0),
@@ -931,11 +949,19 @@ TEST(HttpServerTest, StalledRequestGets408AndIdleConnectionIsClosed) {
 }
 
 TEST(HttpClientTest, TimeoutIsDistinctFromConnectionRefused) {
-  HttpServer http(0, 1);
-  http.AddRoute("GET", "/slow", [](const HttpRequest&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    return HttpResponse{200, "application/json", "{}"};
-  });
+  // The slow route returns at once and completes `done` from a timer
+  // thread, as a backend would.
+  std::mutex timers_mutex;
+  std::vector<std::thread> timers;
+  HttpRoutes routes;
+  routes[{"GET", "/slow"}] = [&](const HttpRequest&, HttpDone done) {
+    std::lock_guard<std::mutex> lock(timers_mutex);
+    timers.emplace_back([done] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(400));
+      done({200, "application/json", "{}"});
+    });
+  };
+  HttpEventLoop http(0, HttpServerOptions{}, std::move(routes));
   http.Start();
 
   // Nobody listens on the discard port: a hard connection-refused error,
@@ -953,6 +979,67 @@ TEST(HttpClientTest, TimeoutIsDistinctFromConnectionRefused) {
   EXPECT_FALSE(slow.ok);
   EXPECT_TRUE(slow.timed_out) << slow.error;
   EXPECT_EQ(slow.error.rfind("timeout:", 0), 0u) << slow.error;
+  {
+    std::lock_guard<std::mutex> lock(timers_mutex);
+    for (std::thread& timer : timers) timer.join();
+  }
+  http.Stop();
+}
+
+TEST(HttpEventLoopTest, ThrowingHandlerAnswers500AndTheLoopKeepsServing) {
+  HttpRoutes routes = PingRoute();
+  routes[{"GET", "/boom"}] = [](const HttpRequest&, HttpDone) {
+    throw std::runtime_error("handler bug");
+  };
+  // Completes, then throws: the exactly-once guard must keep the 500 out of
+  // the connection's stream.
+  routes[{"GET", "/done-then-throw"}] = [](const HttpRequest&,
+                                           HttpDone done) {
+    done({200, "application/json", "{\"first\":true}"});
+    throw std::runtime_error("handler bug after done");
+  };
+  HttpEventLoop http(0, HttpServerOptions{}, std::move(routes));
+  http.Start();
+
+  const auto before = obs::MetricsRegistry::Global().Take();
+  HttpClient client(http.port());
+  const HttpClient::Result boom = client.Get("/boom");
+  ASSERT_TRUE(boom.ok) << boom.error;
+  EXPECT_EQ(boom.status, 500) << boom.body;
+  EXPECT_NE(boom.body.find("internal error"), std::string::npos) << boom.body;
+
+  {
+    // Raw socket, so a stray second response could not hide in a client's
+    // read buffer: exactly one response arrives, the handler's own.
+    const int fd = ConnectLoopback(http.port());
+    const std::string request = "GET /done-then-throw HTTP/1.1\r\n\r\n";
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    timeval timeout{0, 300000};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    std::string received;
+    char chunk[1024];
+    ssize_t n;
+    while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+      received.append(chunk, static_cast<size_t>(n));
+    }
+    ::close(fd);
+    EXPECT_EQ(received.rfind("HTTP/1.1 200 OK", 0), 0u) << received;
+    EXPECT_EQ(received.find("HTTP/1.1", 1), std::string::npos) << received;
+    EXPECT_NE(received.find("{\"first\":true}"), std::string::npos)
+        << received;
+  }
+
+  // The loop keeps serving, with 404 and 405 apart.
+  const HttpClient::Result ping = client.Get("/ping");
+  ASSERT_TRUE(ping.ok) << ping.error;
+  EXPECT_EQ(ping.status, 200);
+  EXPECT_EQ(ping.body, "{}");
+  EXPECT_EQ(client.Get("/nope").status, 404);
+  EXPECT_EQ(client.Post("/ping", "").status, 405);
+
+  const auto delta = obs::MetricsRegistry::Global().Take().Delta(before);
+  EXPECT_EQ(delta.counters.at("serve.http.handler_errors"), 2u);
   http.Stop();
 }
 
@@ -1135,6 +1222,153 @@ TEST(HttpEndToEndTest, ShutdownEndpointSignalsTheServeLoop) {
   server.Stop();
 }
 
+TEST(HttpEndToEndTest, ReloadRunsOffTheLoopOneAtATimeInArrivalOrder) {
+  const data::Dataset dataset = SmallDataset(66);
+  const std::string model = WriteModelSnapshot(dataset, 67, "http_f.snap");
+  graph::BipartiteGraph graph(dataset.num_users(), dataset.num_items(),
+                              dataset.ratings());
+  RatingServer server(&dataset, SmallConfig(), std::move(graph),
+                      SmallServeConfig(model));
+  server.Start();
+
+  // A reload of a FIFO blocks in the snapshot read until the test writes
+  // to it, which holds one reload in flight for as long as needed.
+  const std::string gate = testing::TempDir() + "/reload_gate.fifo";
+  ::unlink(gate.c_str());
+  ASSERT_EQ(::mkfifo(gate.c_str(), 0600), 0) << std::strerror(errno);
+  HttpClient::Result gated_reply;
+  std::thread gated([&] {
+    HttpClient client(server.port());
+    gated_reply = client.Post("/reload", "{\"model\":\"" + gate + "\"}");
+  });
+  // A non-blocking open for writing succeeds only once the reload thread
+  // holds the FIFO open for reading.
+  int writer = -1;
+  for (int i = 0; i < 500 && writer < 0; ++i) {
+    writer = ::open(gate.c_str(), O_WRONLY | O_NONBLOCK);
+    if (writer < 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GE(writer, 0) << "the reload never opened its snapshot";
+
+  // A second reload queues behind the one in flight.
+  HttpClient::Result queued_reply;
+  std::thread queued([&] {
+    HttpClient client(server.port());
+    queued_reply = client.Post("/reload", "");
+  });
+
+  // The loop keeps answering while the reload thread is stuck.
+  HttpClient client(server.port());
+  const HttpClient::Result health = client.Get("/healthz");
+  EXPECT_EQ(health.status, 200) << health.body;
+  double version = 0.0;
+  EXPECT_TRUE(obs::FindJsonNumberField(health.body, "model_version",
+                                       &version));
+  EXPECT_EQ(version, 1.0) << "no reload may land while the first is stuck";
+  const HttpClient::Result predict =
+      client.Post("/predict", "{\"user\":3,\"items\":[1,2]}");
+  EXPECT_EQ(predict.status, 200) << predict.body;
+
+  // Release the first reload with bytes that are no snapshot: it fails,
+  // and only then does the queued one run.
+  if (writer >= 0) {
+    EXPECT_EQ(::write(writer, "junk", 4), 4);
+    ::close(writer);
+  }
+  gated.join();
+  queued.join();
+  ::unlink(gate.c_str());
+  EXPECT_EQ(gated_reply.status, 500) << gated_reply.body;
+  EXPECT_EQ(queued_reply.status, 200) << queued_reply.body;
+  EXPECT_TRUE(obs::FindJsonNumberField(queued_reply.body, "model_version",
+                                       &version));
+  EXPECT_EQ(version, 2.0);
+
+  // Two concurrent reloads both land, one after the other.
+  std::vector<HttpClient::Result> replies(2);
+  std::vector<std::thread> reloaders;
+  for (int i = 0; i < 2; ++i) {
+    reloaders.emplace_back([&, i] {
+      HttpClient reloader(server.port());
+      replies[static_cast<size_t>(i)] = reloader.Post("/reload", "");
+    });
+  }
+  for (std::thread& reloader : reloaders) reloader.join();
+  std::set<double> versions;
+  for (const HttpClient::Result& reply : replies) {
+    EXPECT_EQ(reply.status, 200) << reply.body;
+    double reply_version = 0.0;
+    EXPECT_TRUE(obs::FindJsonNumberField(reply.body, "model_version",
+                                         &reply_version));
+    versions.insert(reply_version);
+  }
+  EXPECT_EQ(versions, (std::set<double>{3.0, 4.0}));
+  server.Stop();
+}
+
+/// The "Threads:" line of /proc/self/status.
+int ProcessThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(HttpEndToEndTest, ThousandIdleConnectionsCostFdsNotThreads) {
+  // Both ends of every connection live in this process: raise the soft
+  // descriptor limit, which is often 1024, toward the hard one.
+  constexpr int kIdle = 1000;
+  rlimit limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &limit), 0);
+  const rlim_t wanted = 2 * kIdle + 256;
+  if (limit.rlim_cur < wanted) {
+    limit.rlim_cur = std::min(wanted, limit.rlim_max);
+    ::setrlimit(RLIMIT_NOFILE, &limit);
+  }
+  if (limit.rlim_cur < wanted) {
+    GTEST_SKIP() << "RLIMIT_NOFILE hard limit " << limit.rlim_max
+                 << " is below the " << wanted << " descriptors needed";
+  }
+
+  const data::Dataset dataset = SmallDataset(68);
+  const std::string model = WriteModelSnapshot(dataset, 69, "http_g.snap");
+  graph::BipartiteGraph graph(dataset.num_users(), dataset.num_items(),
+                              dataset.ratings());
+  ServeConfig config = SmallServeConfig(model);
+  config.idle_timeout_ms = 60000;  // the idle connections must stay open
+  RatingServer server(&dataset, SmallConfig(), std::move(graph), config);
+  server.Start();
+
+  // Warm up first, so every thread a forward starts already exists.
+  HttpClient client(server.port());
+  ASSERT_EQ(client.Post("/predict", "{\"user\":3,\"items\":[1,2]}").status,
+            200);
+  const int threads_before = ProcessThreadCount();
+  ASSERT_GT(threads_before, 0);
+
+  std::vector<int> idle;
+  for (int i = 0; i < kIdle; ++i) {
+    idle.push_back(ConnectLoopback(server.port()));
+  }
+  obs::Gauge* open =
+      obs::MetricsRegistry::Global().GetGauge("serve.http.open_connections");
+  for (int i = 0; i < 500 && open->Value() < kIdle + 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GE(open->Value(), kIdle + 1) << "the loop must accept every one";
+
+  const HttpClient::Result predict =
+      client.Post("/predict", "{\"user\":4,\"items\":[1,2]}");
+  EXPECT_EQ(predict.status, 200) << predict.body;
+  EXPECT_EQ(ProcessThreadCount(), threads_before)
+      << "idle connections must cost file descriptors, never threads";
+
+  for (int fd : idle) ::close(fd);
+  server.Stop();
+}
+
 // ---------------------------------------------------------------------------
 // Serving observability: stage latency attribution, request ids, exposition
 // ---------------------------------------------------------------------------
@@ -1163,7 +1397,7 @@ TEST(ObservabilityTest, StageHistogramsCoverEveryOutcomeFromBoot) {
   }
 
   server.Start();
-  const RatingResponse response = server.Predict(5, {1, 2});
+  const RatingResponse response = SubmitAndWait(server.router(), 5, {1, 2});
   ASSERT_TRUE(response.ok) << response.error;
   const obs::MetricsRegistry::Snapshot after =
       obs::MetricsRegistry::Global().Take();
@@ -1193,7 +1427,7 @@ TEST(ObservabilityTest, RequestIdsAreMonotonicAndStagesAttributed) {
 
   uint64_t previous_id = 0;
   for (int i = 0; i < 4; ++i) {
-    const RatingResponse response = server.Predict(i, {1, 2});
+    const RatingResponse response = SubmitAndWait(server.router(), i, {1, 2});
     ASSERT_TRUE(response.ok) << response.error;
     EXPECT_GT(response.request_id, previous_id)
         << "request ids must be assigned in monotonically increasing order";
@@ -1224,7 +1458,7 @@ TEST(ObservabilityTest, SlowRequestsAreCountedAndLogged) {
   const obs::MetricsRegistry::Snapshot before =
       obs::MetricsRegistry::Global().Take();
   FaultInjector::Global().ArmServeSlowHandler(120);
-  const RatingResponse slow = server.Predict(3, {1});
+  const RatingResponse slow = SubmitAndWait(server.router(), 3, {1});
   FaultInjector::Global().Reset();
   ASSERT_TRUE(slow.ok) << slow.error;
   EXPECT_GT(slow.latency_us, 50.0 * 1000.0);
@@ -1299,7 +1533,7 @@ TEST(ObservabilityTest, DebugLogEmitsOneLinePerResolvedRequest) {
   const LogLevel saved = GetLogLevel();
   SetLogLevel(LogLevel::kDebug);
   ::testing::internal::CaptureStderr();
-  const RatingResponse response = server.Predict(7, {1, 2});
+  const RatingResponse response = SubmitAndWait(server.router(), 7, {1, 2});
   // Resolve runs on the batcher worker; the future resolving
   // happens-after the log write, so the capture below is race-free.
   const std::string log = ::testing::internal::GetCapturedStderr();
@@ -1317,7 +1551,7 @@ TEST(ObservabilityTest, DisabledPathBookkeepingStaysCheap) {
   // The per-request accounting that runs with tracing disabled — the stage
   // clock stamps plus the histogram records — must stay far below the 2%
   // budget of a ~1ms request. 10µs/request would already be visible in
-  // serve_bench; assert an order of magnitude under that.
+  // end-to-end latency; assert an order of magnitude under that.
   EnsureServeStageMetrics();
   StageBreakdown stages;
   for (int s = 0; s < kNumRequestStages; ++s) {
@@ -1360,7 +1594,7 @@ TEST(ObservabilityTest, SampledRequestsEmitCorrelatedSpans) {
   server.Start();
 
   obs::Tracer::Start();
-  const RatingResponse response = server.Predict(2, {1, 2});
+  const RatingResponse response = SubmitAndWait(server.router(), 2, {1, 2});
   ASSERT_TRUE(response.ok) << response.error;
   server.Stop();  // joins the worker, so all spans are emitted
   obs::Tracer::Stop();

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <future>
 #include <map>
 #include <set>
 #include <string>
@@ -21,6 +20,7 @@
 #include "obs/metrics.h"
 #include "serve/http_client.h"
 #include "serve/server.h"
+#include "serve_test_util.h"
 #include "serve/shard_router.h"
 #include "utils/fault_injection.h"
 
@@ -77,7 +77,6 @@ ShardRouterConfig SmallRouterConfig(int num_shards,
 ServeConfig SmallServeConfig(const std::string& model_path, int num_shards) {
   ServeConfig config;
   config.port = 0;  // ephemeral
-  config.http_threads = 2;
   config.cache_capacity = 64;
   config.model_path = model_path;
   config.num_shards = num_shards;
@@ -190,7 +189,7 @@ TEST(ShardRouterTest, SameUserAlwaysLandsOnTheSameShard) {
   for (int64_t user = 0; user < dataset.num_users(); ++user) {
     const int expected = router.ShardForUser(user);
     for (int repeat = 0; repeat < 2; ++repeat) {
-      const RatingResponse response = router.Submit(user, {1, 2}).get();
+      const RatingResponse response = SubmitAndWait(router, user, {1, 2});
       ASSERT_TRUE(response.ok) << response.error;
       EXPECT_EQ(response.shard, expected)
           << "user " << user << " answered by a shard it does not hash to";
@@ -215,10 +214,10 @@ TEST(ShardRouterTest, PerShardOutcomesExactlyPartitionRoutedTraffic) {
   // A mix of served requests and early rejections (out-of-range item) so
   // more than one outcome class moves.
   for (int64_t user = 0; user < 32; ++user) {
-    EXPECT_TRUE(router.Submit(user, {1, 2}).get().ok);
+    EXPECT_TRUE(SubmitAndWait(router, user, {1, 2}).ok);
     ++total;
     if (user % 4 == 0) {
-      EXPECT_FALSE(router.Submit(user, {dataset.num_items()}).get().ok);
+      EXPECT_FALSE(SubmitAndWait(router, user, {dataset.num_items()}).ok);
       ++total;
     }
   }
@@ -251,12 +250,12 @@ TEST(ShardRouterTest, CachesAreIsolatedPerShardAndPerGraphGeneration) {
   const int64_t user = 5;
   const int home = router.ShardForUser(user);
 
-  const RatingResponse first = router.Submit(user, {1, 2}).get();
+  const RatingResponse first = SubmitAndWait(router, user, {1, 2});
   ASSERT_TRUE(first.ok) << first.error;
   EXPECT_FALSE(first.cache_hit);
   EXPECT_EQ(first.graph_version, 1);
 
-  const RatingResponse second = router.Submit(user, {1, 2}).get();
+  const RatingResponse second = SubmitAndWait(router, user, {1, 2});
   ASSERT_TRUE(second.ok) << second.error;
   EXPECT_TRUE(second.cache_hit) << "repeat request must hit the shard cache";
   EXPECT_GT(router.cache(home).size(), 0u);
@@ -275,7 +274,7 @@ TEST(ShardRouterTest, CachesAreIsolatedPerShardAndPerGraphGeneration) {
     EXPECT_EQ(router.cache(shard).size(), 0u)
         << "graph update must drop shard " << shard << "'s cache";
   }
-  const RatingResponse third = router.Submit(user, {1, 2}).get();
+  const RatingResponse third = SubmitAndWait(router, user, {1, 2});
   ASSERT_TRUE(third.ok) << third.error;
   EXPECT_FALSE(third.cache_hit)
       << "a plan built against the old graph generation was served";
@@ -305,7 +304,7 @@ TEST(ShardRouterTest, RollingReloadUnderSustainedLoadNeverFailsARequest) {
       while (!stop.load()) {
         const int64_t user = (t * 19 + static_cast<int64_t>(i++) * 7) %
                              dataset.num_users();
-        const RatingResponse response = router.Submit(user, {1, 2}).get();
+        const RatingResponse response = SubmitAndWait(router, user, {1, 2});
         sent.fetch_add(1);
         if (!response.ok || response.degraded) failed.fetch_add(1);
       }
@@ -382,7 +381,7 @@ TEST(ShardRouterTest, CorruptReloadScopedToOneShardLeavesTheRestServing) {
   int sick_users = 0;
   int healthy_users = 0;
   for (int64_t user = 0; user < dataset.num_users(); ++user) {
-    const RatingResponse response = router.Submit(user, {1, 2}).get();
+    const RatingResponse response = SubmitAndWait(router, user, {1, 2});
     ASSERT_TRUE(response.ok) << response.error;
     if (router.ShardForUser(user) == 1) {
       EXPECT_TRUE(response.degraded)
@@ -404,7 +403,7 @@ TEST(ShardRouterTest, CorruptReloadScopedToOneShardLeavesTheRestServing) {
   EXPECT_TRUE(router.all_loaded());
   for (int64_t user = 0; user < dataset.num_users(); ++user) {
     if (router.ShardForUser(user) != 1) continue;
-    const RatingResponse response = router.Submit(user, {1, 2}).get();
+    const RatingResponse response = SubmitAndWait(router, user, {1, 2});
     ASSERT_TRUE(response.ok) << response.error;
     EXPECT_FALSE(response.degraded) << "healed shard must serve normally";
     break;

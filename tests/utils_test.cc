@@ -6,13 +6,12 @@
 #include <thread>
 #include <vector>
 
+#include "obs/stopwatch.h"
 #include "utils/check.h"
 #include "utils/logging.h"
-#include "utils/stopwatch.h"
 #include "utils/string_utils.h"
 #include "utils/table_printer.h"
 #include "utils/parallel.h"
-#include "utils/thread_pool.h"
 
 namespace hire {
 namespace {
@@ -126,22 +125,6 @@ TEST(TablePrinterTest, RejectsRaggedRows) {
 
 TEST(TablePrinterTest, RejectsEmptyHeader) {
   EXPECT_THROW(TablePrinter({}), CheckError);
-}
-
-TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPoolTest, WaitOnIdlePoolReturns) {
-  ThreadPool pool(1);
-  pool.Wait();  // must not deadlock
-  SUCCEED();
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {

@@ -103,7 +103,6 @@ serve:
                        hot-swappable model snapshot, context cache, and
                        micro-batcher, and /predict routes by user-id
                        consistent hashing (1)
-  --http-threads <int>      handler threads for the HTTP event loop (4)
   --max-connections <int>   open-connection bound; accepts past it get an
                             immediate 503 + Retry-After instead of growing
                             the fd table (0 = unbounded)
@@ -135,8 +134,6 @@ serve:
   --slow-request-ms <int>   log one structured warning line with the full
                             per-stage breakdown for requests slower than
                             this (0 = off)
-  --stats-tick-ms <int>     rolling-window latency percentile gauge refresh
-                            period (1000; 0 = off)
 
   endpoints: POST /predict {"user":u,"items":[i,...]}   rating predictions
                   (response carries "shard", the engine shard that answered)
@@ -346,7 +343,6 @@ int Serve(const Flags& flags) {
   serve::ServeConfig config;
   config.port = static_cast<int>(flags.GetInt("port", 0));
   config.num_shards = static_cast<int>(flags.GetInt("shards", 1));
-  config.http_threads = static_cast<int>(flags.GetInt("http-threads", 4));
   config.max_connections =
       static_cast<int>(flags.GetInt("max-connections", 0));
   config.cache_capacity =
@@ -367,7 +363,6 @@ int Serve(const Flags& flags) {
       flags.GetInt("breaker-cooldown-ms", 1000);
   config.batcher.trace_sample_every = flags.GetInt("trace-sample-every", 0);
   config.batcher.slow_request_ms = flags.GetInt("slow-request-ms", 0);
-  config.stats_tick_ms = flags.GetInt("stats-tick-ms", 1000);
   config.idle_timeout_ms =
       static_cast<int>(flags.GetInt("idle-timeout-ms", 5000));
   config.header_timeout_ms =

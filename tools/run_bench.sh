@@ -8,11 +8,6 @@
 # Perfetto) plus BENCH_telemetry.jsonl at the repo root:
 #   tools/run_bench.sh --trace [build_dir] [extra hire_cli train flags...]
 #
-# Serving mode: train a small model, then measure the serving subsystem with
-# the closed-loop load generator (batched vs unbatched, cold vs warm cache)
-# and write BENCH_serve.json at the repo root:
-#   tools/run_bench.sh --serve [build_dir] [extra serve_loadgen flags...]
-#
 # Kernel mode: time the fused inference kernels (fused attention, GEMM
 # epilogue, online softmax, whole serve forward) against their tape
 # equivalents in alternating rounds and write this machine's record of
@@ -35,9 +30,6 @@ mode="bench"
 check_scaling_flag=""
 if [ "${1:-}" = "--trace" ]; then
   mode="trace"
-  shift
-elif [ "${1:-}" = "--serve" ]; then
-  mode="serve"
   shift
 elif [ "${1:-}" = "--kernels" ]; then
   mode="kernels"
@@ -71,32 +63,6 @@ if [ "${mode}" = "trace" ]; then
     --out="${work}/model.bin" \
     "$@"
   echo "wrote ${repo_root}/BENCH_trace.json and BENCH_telemetry.jsonl"
-  exit 0
-fi
-
-if [ "${mode}" = "serve" ]; then
-  cmake --build "${build_dir}" --target hire_cli serve_loadgen -j "${nproc_count}"
-  work="$(mktemp -d "${TMPDIR:-/tmp}/hire_bench_serve.XXXXXX")"
-  trap 'rm -rf "${work}"' EXIT
-  # Dataset scale and context are chosen so batches actually coalesce:
-  # a 16-column context leaves room for several 3-item queries per forward.
-  "${build_dir}/tools/hire_cli" train \
-    --profile=movielens --scale=0.2 --steps=40 --context=16 \
-    --log-every=0 --out="${work}/model.bin"
-  # The open-loop sweep offers a geometric RPS ladder to a single-shard and
-  # a 4-shard server (so the saturation knee is visible per config) while
-  # 2000 idle connections stay open to prove fd scale on the event loop.
-  "${build_dir}/tools/serve_loadgen" --mode=bench \
-    --model="${work}/model.bin" \
-    --profile=movielens --scale=0.2 --context=16 \
-    --clients=8 --requests-per-client=25 --items-per-request=3 \
-    --batch-window-us=2000 \
-    --shards=4 --open-loop-steps=5 --open-loop-base-rps=100 \
-    --open-loop-duration-s=2 --open-loop-connections=64 \
-    --idle-connections=2000 \
-    --out="${repo_root}/BENCH_serve.json" \
-    "$@"
-  echo "wrote ${repo_root}/BENCH_serve.json"
   exit 0
 fi
 

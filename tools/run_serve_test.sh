@@ -6,7 +6,8 @@
 #   - /healthz reports the bumped model version,
 #   - /metrics shows request + context-cache counters moving,
 #   - POST /shutdown ends the serve loop cleanly,
-#   - the telemetry JSONL carries one serve record per request, and
+#   - the telemetry JSONL's run-end metrics snapshot accounts for every
+#     drive request in its serve.outcome.* counters, and
 #   - the tracing-enabled server writes request-correlated spans at exit.
 #
 # Usage: run_serve_test.sh <hire_cli> <serve_loadgen> <validate_telemetry>
@@ -99,9 +100,17 @@ fi
 wait "$SERVER_PID" || { cat "$WORK/serve.log" >&2; fail "server exited non-zero"; }
 SERVER_PID=""
 
-# One serve record per drive request, plus the final snapshot.
-"$VALIDATOR" --metrics="$WORK/metrics.jsonl" --min-steps=0 --min-serve=400 \
+# Valid JSONL with a final snapshot, whose outcome partition accounts for
+# every one of the 400 drive requests.
+"$VALIDATOR" --metrics="$WORK/metrics.jsonl" --min-steps=0 \
     || fail "serve telemetry validation"
+SNAPSHOT="$(grep '"type":"metrics_snapshot"' "$WORK/metrics.jsonl" | tail -n 1)"
+OUTCOMES=0
+for n in $(echo "$SNAPSHOT" | grep -o '"serve\.outcome\.[a-z]*":[0-9]*' | grep -o '[0-9]*$'); do
+  OUTCOMES=$((OUTCOMES + n))
+done
+[ "$OUTCOMES" -ge 400 ] \
+    || fail "run-end serve.outcome.* counters sum to $OUTCOMES; expected at least the drive's 400 requests"
 
 # The sampled requests must have produced correlated spans in the trace.
 "$VALIDATOR" --trace="$WORK/serve_trace.json" || fail "serve trace validation"

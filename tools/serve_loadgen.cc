@@ -1,22 +1,6 @@
-// serve_loadgen — load generator for the HIRE rating server.
+// serve_loadgen — drill client for the HIRE rating server.
 //
-// Modes:
-//   bench  (default) Self-contained benchmark: starts an in-process
-//          RatingServer on an ephemeral port and drives it over real
-//          loopback HTTP through three closed-loop phases —
-//            unbatched   batch window 0: one context+forward per request
-//            batched     the configured window: requests coalesce into
-//                        shared contexts
-//            cache_warm  the batched server again with the same users, so
-//                        every context plan is an LRU hit
-//          then an open-loop (Poisson arrival) sweep: offered load is
-//          stepped up geometrically against a 1-shard and an N-shard server
-//          and latency is measured from each request's *scheduled* arrival
-//          time, so queueing delay past the saturation knee is visible
-//          instead of hidden by closed-loop self-throttling. Writes
-//          BENCH_serve.json (per-phase throughput + p50/p95/p99, batch-size
-//          histogram, cache hit rate, per-step open-loop latencies and
-//          per-shard request balance).
+// Modes (--mode is required):
 //   drive  Closed-loop clients against an already-running server
 //          (--port). Exits non-zero if any request fails — the smoke test
 //          uses this concurrently with a /reload to prove zero-downtime
@@ -26,75 +10,38 @@
 //          the server without curl.
 //
 // Example:
-//   hire_cli train --profile=movielens --scale=0.05 --steps=40 --out=/tmp/m.bin
-//   serve_loadgen --mode=bench --profile=movielens --scale=0.05
-//       --model=/tmp/m.bin --clients=8 --requests-per-client=40
-//       --out=BENCH_serve.json
-
-#include <netinet/in.h>
-#include <sys/resource.h>
-#include <sys/socket.h>
-#include <unistd.h>
+//   hire_cli serve --profile=movielens --model=/tmp/m.bin --port=8080 &
+//   serve_loadgen --mode=drive --port=8080 --clients=4
+//       --requests-per-client=100 --max-user=30 --max-item=25
+//   serve_loadgen --mode=probe --port=8080 --path=/healthz
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <mutex>
-#include <random>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "data/synthetic.h"
-#include "graph/bipartite_graph.h"
-#include "obs/json.h"
-#include "obs/metrics.h"
 #include "serve/http_client.h"
-#include "serve/server.h"
 #include "utils/check.h"
 #include "utils/flags.h"
-#include "utils/parallel.h"
-#include "utils/thread_pool.h"
 
 namespace {
 
 using namespace hire;
 
 constexpr char kUsage[] =
-    R"(serve_loadgen --mode=<bench|drive|probe> [flags]
+    R"(serve_loadgen --mode=<drive|probe> [flags]
 
-bench:  --profile/--scale/--seed   synthetic dataset (must match the model)
-        --model <path>             trained parameters (required)
-        --context/--him-blocks/--heads/--head-dim/--embed-dim  model shape
-        --clients <int>            concurrent closed-loop clients (8)
-        --requests-per-client <int>  requests each client issues (40)
-        --batch-window-us <int>    window for the batched phases (2000)
-        --max-batch-users <int>    coalescing bound (8)
-        --cache-capacity <int>     context-plan LRU entries (1024)
-        --out <path>               result JSON (BENCH_serve.json)
-        --shards <int>             shard count for the multi-shard open-loop
-                                   sweep config (4)
-        --open-loop-steps <int>    offered-load steps in the open-loop sweep;
-                                   each doubles the previous rate (5; 0
-                                   disables the sweep)
-        --open-loop-base-rps <int> offered load of the first step (100)
-        --open-loop-duration-s <double>  seconds per step (2.0)
-        --open-loop-connections <int>    concurrent keep-alive sender
-                                   connections per step (32)
-        --idle-connections <int>   extra idle keep-alive connections held
-                                   open through every open-loop step, to
-                                   prove the event loop carries large fd
-                                   counts (0)
-        --max-connections <int>    server-side open-connection bound for the
-                                   bench servers (0 = unbounded)
 drive:  --port <int> --clients <int> --requests-per-client <int>
         --max-user <int>           users drawn round-robin from [0, max-user)
+        --max-item <int>           item ids drawn from [0, max-item) (64)
         --items-per-request <int>  (4)
         --deadline-ms <int>        send X-Deadline-Ms on every request (0 =
                                    none)
@@ -110,8 +57,7 @@ drive prints "DRIVE_STATUS 200=n 503=n ... degraded=n transport_errors=n"
 for scripts asserting on the status mix.
 )";
 
-struct PhaseResult {
-  std::string name;
+struct DriveResult {
   double wall_seconds = 0.0;
   int64_t requests = 0;
   int64_t failures = 0;
@@ -119,26 +65,15 @@ struct PhaseResult {
   int64_t degraded = 0;                  // 200s tagged "degraded":true
   int64_t transport_errors = 0;          // no HTTP response at all
   std::vector<double> latencies_us;  // successful requests only
-  /// Client-observed latency of every answered request, per HTTP status —
-  /// rejections (503/504) have tails too, and hiding them under the
-  /// success-only percentiles would make shedding look free.
-  std::map<int, std::vector<double>> latencies_by_status_us;
-  obs::MetricsRegistry::Snapshot delta;
 
   double throughput_rps() const {
     return wall_seconds > 0 ? static_cast<double>(requests - failures) /
                                   wall_seconds
                             : 0.0;
   }
-  double degraded_share() const {
-    const auto it = status_counts.find(200);
-    const int64_t ok = it == status_counts.end() ? 0 : it->second;
-    return ok > 0 ? static_cast<double>(degraded) / static_cast<double>(ok)
-                  : 0.0;
-  }
 };
 
-/// What DrivePhase tolerates without counting a failure.
+/// What Drive tolerates without counting a failure.
 struct DriveOptions {
   int64_t deadline_ms = 0;           // X-Deadline-Ms header (0 = none)
   std::set<int> allow_status;        // besides 200 (e.g. {503, 504})
@@ -157,16 +92,12 @@ double Percentile(std::vector<double> sorted, double q) {
 /// issuing `requests_each` POST /predict calls. Users are assigned
 /// round-robin from [0, num_users): pass num_users >= clients*requests_each
 /// for an all-cold run, smaller to force reuse.
-PhaseResult DrivePhase(const std::string& name, int port, int clients,
-                       int64_t requests_each, int64_t num_users,
-                       int64_t items_per_request, int64_t num_items,
-                       const DriveOptions& options = {}) {
-  PhaseResult result;
-  result.name = name;
+DriveResult Drive(int port, int clients, int64_t requests_each,
+                  int64_t num_users, int64_t items_per_request,
+                  int64_t num_items, const DriveOptions& options) {
+  DriveResult result;
   result.requests = static_cast<int64_t>(clients) * requests_each;
 
-  const obs::MetricsRegistry::Snapshot before =
-      obs::MetricsRegistry::Global().Take();
   std::mutex merge_mutex;
   std::atomic<int64_t> failures{0};
 
@@ -178,13 +109,12 @@ PhaseResult DrivePhase(const std::string& name, int port, int clients,
 
   const auto wall_start = std::chrono::steady_clock::now();
   {
-    ThreadPool pool(clients);
+    std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c) {
-      pool.Submit([&, c] {
+      threads.emplace_back([&, c] {
         serve::HttpClient client(port);
         std::vector<double> latencies;
         latencies.reserve(static_cast<size_t>(requests_each));
-        std::map<int, std::vector<double>> by_status;
         std::map<int, int64_t> statuses;
         int64_t degraded = 0;
         int64_t transport_errors = 0;
@@ -211,7 +141,6 @@ PhaseResult DrivePhase(const std::string& name, int port, int clients,
             continue;
           }
           ++statuses[response.status];
-          by_status[response.status].push_back(micros);
           if (response.status == 200) {
             latencies.push_back(micros);
             if (response.body.find("\"degraded\":true") != std::string::npos) {
@@ -224,10 +153,6 @@ PhaseResult DrivePhase(const std::string& name, int port, int clients,
         std::lock_guard<std::mutex> lock(merge_mutex);
         result.latencies_us.insert(result.latencies_us.end(),
                                    latencies.begin(), latencies.end());
-        for (auto& [status, samples] : by_status) {
-          auto& sink = result.latencies_by_status_us[status];
-          sink.insert(sink.end(), samples.begin(), samples.end());
-        }
         for (const auto& [status, count] : statuses) {
           result.status_counts[status] += count;
         }
@@ -235,546 +160,26 @@ PhaseResult DrivePhase(const std::string& name, int port, int clients,
         result.transport_errors += transport_errors;
       });
     }
-    pool.Wait();
+    for (std::thread& thread : threads) thread.join();
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
   result.failures = failures.load();
-  result.delta = obs::MetricsRegistry::Global().Take().Delta(before);
   std::sort(result.latencies_us.begin(), result.latencies_us.end());
-  for (auto& [status, samples] : result.latencies_by_status_us) {
-    std::sort(samples.begin(), samples.end());
-  }
   return result;
-}
-
-/// {"count":N,"p50_us":...,"p95_us":...,"p99_us":...} over a sorted sample.
-std::string PercentilesJson(const std::vector<double>& sorted) {
-  return "{\"count\":" + std::to_string(sorted.size()) +
-         ",\"p50_us\":" + obs::JsonNumber(Percentile(sorted, 0.50)) +
-         ",\"p95_us\":" + obs::JsonNumber(Percentile(sorted, 0.95)) +
-         ",\"p99_us\":" + obs::JsonNumber(Percentile(sorted, 0.99)) + "}";
-}
-
-/// Raises RLIMIT_NOFILE toward its hard cap so the connection-scale phases
-/// are not cut off by a conservative soft default (often 1024).
-void RaiseFdLimit(uint64_t wanted) {
-  rlimit limit;
-  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return;
-  if (limit.rlim_cur >= wanted) return;
-  rlimit raised = limit;
-  raised.rlim_cur = limit.rlim_max == RLIM_INFINITY
-                        ? wanted
-                        : std::min<rlim_t>(limit.rlim_max, wanted);
-  if (::setrlimit(RLIMIT_NOFILE, &raised) == 0 && raised.rlim_cur < wanted) {
-    std::cerr << "warning: RLIMIT_NOFILE capped at " << raised.rlim_cur
-              << " (< " << wanted << " wanted); scale phases may shrink\n";
-  }
-}
-
-/// Opens `count` TCP connections to the server and leaves them idle (no
-/// bytes sent). They occupy event-loop slots until the server's idle timeout
-/// closes them — proof the front-end carries large fd counts while serving.
-std::vector<int> OpenIdleConnections(int port, int count) {
-  std::vector<int> fds;
-  fds.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) break;
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      ::close(fd);
-      break;
-    }
-    fds.push_back(fd);
-  }
-  return fds;
-}
-
-void CloseConnections(std::vector<int>* fds) {
-  for (int fd : *fds) ::close(fd);
-  fds->clear();
-}
-
-/// Extracts the "shard" field a /predict response carries (-1 if absent).
-int ShardFromBody(const std::string& body) {
-  const size_t key = body.find("\"shard\":");
-  if (key == std::string::npos) return -1;
-  return std::atoi(body.c_str() + key + 8);
-}
-
-/// One offered-load step of the open-loop sweep.
-struct OpenLoopStep {
-  double offered_rps = 0.0;
-  int64_t scheduled = 0;       // arrivals in the schedule
-  int64_t completed = 0;       // HTTP 200s
-  int64_t failures = 0;        // non-200s + transport errors
-  double wall_seconds = 0.0;
-  std::vector<double> latencies_us;     // from *scheduled* arrival, sorted
-  std::map<int, int64_t> shard_counts;  // answering shard -> 200s
-  int64_t forwards = 0;       // batch forwards this step (server-side delta)
-  int64_t batched_users = 0;  // users co-batched into those forwards
-  double achieved_rps() const {
-    return wall_seconds > 0 ? static_cast<double>(completed) / wall_seconds
-                            : 0.0;
-  }
-  /// Hottest shard's share of requests relative to a perfectly uniform
-  /// split (1.0 = uniform; the acceptance bound is 2.0).
-  double balance_max_over_uniform(int num_shards) const {
-    if (completed == 0 || num_shards <= 1) return 1.0;
-    int64_t hottest = 0;
-    for (const auto& [shard, count] : shard_counts) {
-      hottest = std::max(hottest, count);
-    }
-    const double uniform =
-        static_cast<double>(completed) / static_cast<double>(num_shards);
-    return uniform > 0 ? static_cast<double>(hottest) / uniform : 1.0;
-  }
-};
-
-/// Open-loop (Poisson arrival) phase: a pre-computed exponential
-/// inter-arrival schedule is replayed by `connections` keep-alive senders.
-/// Latency is measured from the request's scheduled arrival time, not from
-/// when a sender got around to it — past the saturation knee the backlog
-/// grows and that queueing delay lands in the percentiles, which is the
-/// entire point of open-loop measurement.
-OpenLoopStep OpenLoopPhase(int port, double offered_rps, double duration_s,
-                           int connections, int64_t num_users,
-                           int64_t items_per_request, int64_t num_items,
-                           uint64_t seed) {
-  using Clock = std::chrono::steady_clock;
-  OpenLoopStep step;
-  step.offered_rps = offered_rps;
-
-  std::mt19937_64 rng(seed);
-  std::exponential_distribution<double> interarrival(offered_rps);
-  std::vector<double> arrivals_s;
-  double t = 0.0;
-  while (t < duration_s) {
-    t += interarrival(rng);
-    if (t < duration_s) arrivals_s.push_back(t);
-  }
-  step.scheduled = static_cast<int64_t>(arrivals_s.size());
-
-  std::atomic<int64_t> next{0};
-  std::atomic<int64_t> completed{0};
-  std::atomic<int64_t> failures{0};
-  std::mutex merge_mutex;
-  // Small lead-in so every sender thread is parked before the first arrival.
-  const Clock::time_point epoch =
-      Clock::now() + std::chrono::milliseconds(50);
-
-  std::vector<std::thread> senders;
-  senders.reserve(static_cast<size_t>(connections));
-  for (int c = 0; c < connections; ++c) {
-    senders.emplace_back([&, c] {
-      serve::HttpClient client(port);
-      std::vector<double> latencies;
-      std::map<int, int64_t> shards;
-      while (true) {
-        const int64_t i = next.fetch_add(1);
-        if (i >= step.scheduled) break;
-        const Clock::time_point scheduled_at =
-            epoch + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(arrivals_s[
-                            static_cast<size_t>(i)]));
-        std::this_thread::sleep_until(scheduled_at);
-        const int64_t user = (i * 7919 + c) % num_users;
-        std::string body =
-            "{\"user\":" + std::to_string(user) + ",\"items\":[";
-        for (int64_t j = 0; j < items_per_request; ++j) {
-          if (j > 0) body += ",";
-          body += std::to_string((user * 13 + j * 7) % num_items);
-        }
-        body += "]}";
-        const serve::HttpClient::Result response =
-            client.Request("POST", "/predict", body);
-        const double micros = std::chrono::duration<double, std::micro>(
-                                  Clock::now() - scheduled_at)
-                                  .count();
-        if (response.ok && response.status == 200) {
-          completed.fetch_add(1);
-          latencies.push_back(micros);
-          ++shards[ShardFromBody(response.body)];
-        } else {
-          failures.fetch_add(1);
-        }
-      }
-      std::lock_guard<std::mutex> lock(merge_mutex);
-      step.latencies_us.insert(step.latencies_us.end(), latencies.begin(),
-                               latencies.end());
-      for (const auto& [shard, count] : shards) {
-        step.shard_counts[shard] += count;
-      }
-    });
-  }
-  for (std::thread& sender : senders) sender.join();
-  step.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - epoch).count();
-  step.completed = completed.load();
-  step.failures = failures.load();
-  std::sort(step.latencies_us.begin(), step.latencies_us.end());
-  return step;
-}
-
-std::string OpenLoopStepJson(const OpenLoopStep& step, int num_shards) {
-  std::string json = "{";
-  json += "\"offered_rps\":" + obs::JsonNumber(step.offered_rps);
-  json += ",\"scheduled\":" + std::to_string(step.scheduled);
-  json += ",\"completed\":" + std::to_string(step.completed);
-  json += ",\"failures\":" + std::to_string(step.failures);
-  json += ",\"wall_seconds\":" + obs::JsonNumber(step.wall_seconds);
-  json += ",\"achieved_rps\":" + obs::JsonNumber(step.achieved_rps());
-  json += ",\"p50_us\":" + obs::JsonNumber(Percentile(step.latencies_us, 0.50));
-  json += ",\"p95_us\":" + obs::JsonNumber(Percentile(step.latencies_us, 0.95));
-  json += ",\"p99_us\":" + obs::JsonNumber(Percentile(step.latencies_us, 0.99));
-  json += ",\"shard_counts\":{";
-  bool first = true;
-  for (const auto& [shard, count] : step.shard_counts) {
-    if (!first) json += ",";
-    first = false;
-    json += "\"" + std::to_string(shard) + "\":" + std::to_string(count);
-  }
-  json += "}";
-  json += ",\"balance_max_over_uniform\":" +
-          obs::JsonNumber(step.balance_max_over_uniform(num_shards));
-  // Server-side batching attribution: mean_batch_users is the forward
-  // amortization this step actually achieved (throughput ≈ occupancy /
-  // forward cost), the first number to check when a sharded config's knee
-  // sits left of single-shard.
-  json += ",\"forwards\":" + std::to_string(step.forwards);
-  json += ",\"mean_batch_users\":" +
-          obs::JsonNumber(step.forwards > 0
-                              ? static_cast<double>(step.batched_users) /
-                                    static_cast<double>(step.forwards)
-                              : 0.0);
-  json += "}";
-  return json;
-}
-
-std::string PhaseJson(const PhaseResult& phase) {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  auto counter = [&phase](const std::string& name) -> uint64_t {
-    const auto it = phase.delta.counters.find(name);
-    return it == phase.delta.counters.end() ? 0 : it->second;
-  };
-  hits = counter("serve.context_cache.hits");
-  misses = counter("serve.context_cache.misses");
-  const uint64_t batches = counter("serve.batches");
-  const uint64_t batched_users = counter("serve.batched_users");
-
-  std::string json = "{";
-  json += "\"requests\":" + std::to_string(phase.requests);
-  json += ",\"failures\":" + std::to_string(phase.failures);
-  json += ",\"wall_seconds\":" + obs::JsonNumber(phase.wall_seconds);
-  json += ",\"throughput_rps\":" + obs::JsonNumber(phase.throughput_rps());
-  json += ",\"p50_us\":" + obs::JsonNumber(Percentile(phase.latencies_us, 0.50));
-  json += ",\"p95_us\":" + obs::JsonNumber(Percentile(phase.latencies_us, 0.95));
-  json += ",\"p99_us\":" + obs::JsonNumber(Percentile(phase.latencies_us, 0.99));
-  json += ",\"forwards\":" + std::to_string(batches);
-  json += ",\"mean_batch_users\":" +
-          obs::JsonNumber(batches > 0 ? static_cast<double>(batched_users) /
-                                            static_cast<double>(batches)
-                                      : 0.0);
-  const auto hist = phase.delta.histograms.find("serve.batch_users");
-  if (hist != phase.delta.histograms.end()) {
-    json += ",\"batch_users_histogram\":" + hist->second.ToJson();
-  }
-  json += ",\"cache_hits\":" + std::to_string(hits);
-  json += ",\"cache_misses\":" + std::to_string(misses);
-  json += ",\"cache_hit_rate\":" +
-          obs::JsonNumber(hits + misses > 0
-                              ? static_cast<double>(hits) /
-                                    static_cast<double>(hits + misses)
-                              : 0.0);
-  json += ",\"status_counts\":{";
-  bool first = true;
-  for (const auto& [status, count] : phase.status_counts) {
-    if (!first) json += ",";
-    first = false;
-    json += "\"" + std::to_string(status) + "\":" + std::to_string(count);
-  }
-  json += "}";
-  {
-    std::vector<double> all;
-    for (const auto& [status, samples] : phase.latencies_by_status_us) {
-      all.insert(all.end(), samples.begin(), samples.end());
-    }
-    std::sort(all.begin(), all.end());
-    json += ",\"client_latency\":" + PercentilesJson(all);
-    json += ",\"client_latency_by_status\":{";
-    first = true;
-    for (const auto& [status, samples] : phase.latencies_by_status_us) {
-      if (!first) json += ",";
-      first = false;
-      json += "\"" + std::to_string(status) +
-              "\":" + PercentilesJson(samples);
-    }
-    json += "}";
-  }
-  json += ",\"transport_errors\":" + std::to_string(phase.transport_errors);
-  json += ",\"degraded\":" + std::to_string(phase.degraded);
-  json += ",\"degraded_share\":" + obs::JsonNumber(phase.degraded_share());
-  json += "}";
-  return json;
 }
 
 /// Machine-parseable status mix, e.g.
 /// "DRIVE_STATUS 200=80 503=12 504=8 degraded=5 transport_errors=0".
-void PrintDriveStatus(const PhaseResult& result) {
+void PrintDriveStatus(const DriveResult& result) {
   std::cout << "DRIVE_STATUS";
   for (const auto& [status, count] : result.status_counts) {
     std::cout << " " << status << "=" << count;
   }
   std::cout << " degraded=" << result.degraded
             << " transport_errors=" << result.transport_errors << "\n";
-}
-
-data::Dataset LoadSyntheticDataset(const Flags& flags) {
-  const std::string profile = flags.GetString("profile", "movielens");
-  const double scale = flags.GetDouble("scale", 1.0);
-  data::SyntheticConfig config;
-  if (profile == "movielens") {
-    config = data::MovieLens1MProfile(scale);
-  } else if (profile == "bookcrossing") {
-    config = data::BookcrossingProfile(scale);
-  } else if (profile == "douban") {
-    config = data::DoubanProfile(scale);
-  } else {
-    HIRE_CHECK(false) << "unknown profile '" << profile << "'";
-  }
-  return data::GenerateSyntheticDataset(
-      config, static_cast<uint64_t>(flags.GetInt("seed", 7)));
-}
-
-core::HireConfig ModelConfig(const Flags& flags) {
-  core::HireConfig config;
-  config.num_him_blocks = static_cast<int>(flags.GetInt("him-blocks", 3));
-  config.num_heads = flags.GetInt("heads", 4);
-  config.head_dim = flags.GetInt("head-dim", 8);
-  config.attr_embed_dim = flags.GetInt("embed-dim", 8);
-  return config;
-}
-
-serve::ServeConfig BuildServeConfig(const Flags& flags, int64_t window_us,
-                                    const std::string& model_path,
-                                    int num_shards = 1) {
-  serve::ServeConfig config;
-  config.port = 0;
-  config.num_shards = num_shards;
-  config.http_threads = static_cast<int>(flags.GetInt("http-threads", 4));
-  config.max_connections =
-      static_cast<int>(flags.GetInt("max-connections", 0));
-  config.cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache-capacity", 1024));
-  config.model_path = model_path;
-  config.batcher.batch_window_us = window_us;
-  config.batcher.max_batch_users = flags.GetInt("max-batch-users", 8);
-  config.batcher.context_users = flags.GetInt("context", 16);
-  config.batcher.context_items = config.batcher.context_users;
-  config.batcher.visible_fraction = flags.GetDouble("visible-fraction", 0.1);
-  config.batcher.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  config.batcher.queue_capacity =
-      static_cast<size_t>(flags.GetInt("queue-capacity", 1024));
-  return config;
-}
-
-int RunBench(const Flags& flags) {
-  const std::string model_path = flags.GetString("model", "");
-  HIRE_CHECK(!model_path.empty()) << "--model is required for bench";
-  const int clients = static_cast<int>(flags.GetInt("clients", 8));
-  const int64_t requests_each = flags.GetInt("requests-per-client", 40);
-  const int64_t items_per_request = flags.GetInt("items-per-request", 4);
-  const int64_t window_us = flags.GetInt("batch-window-us", 2000);
-  const std::string out = flags.GetString("out", "BENCH_serve.json");
-
-  const data::Dataset dataset = LoadSyntheticDataset(flags);
-  std::cout << "dataset: " << dataset.Summary() << "\n";
-  // Distinct users per phase so the unbatched/batched phases run an all-cold
-  // cache; the warm phase then replays the same users.
-  const int64_t num_users =
-      std::min<int64_t>(dataset.num_users(),
-                        static_cast<int64_t>(clients) * requests_each);
-  HIRE_CHECK_GT(num_users, 0);
-
-  auto run_phase = [&](const std::string& name, int64_t phase_window) {
-    graph::BipartiteGraph graph(dataset.num_users(), dataset.num_items(),
-                                dataset.ratings());
-    serve::RatingServer server(
-        &dataset, ModelConfig(flags), std::move(graph),
-        BuildServeConfig(flags, phase_window, model_path));
-    server.Start();
-    PhaseResult cold =
-        DrivePhase(name, server.port(), clients, requests_each, num_users,
-                   items_per_request, dataset.num_items());
-    PhaseResult warm =
-        DrivePhase(name + "_warm", server.port(), clients, requests_each,
-                   num_users, items_per_request, dataset.num_items());
-    server.Stop();
-    return std::make_pair(std::move(cold), std::move(warm));
-  };
-
-  std::cout << "phase unbatched (window 0)...\n";
-  const auto [unbatched, unbatched_warm] = run_phase("unbatched", 0);
-  std::cout << "phase batched (window " << window_us << "us)...\n";
-  const auto [batched, cache_warm] = run_phase("batched", window_us);
-
-  const double speedup =
-      unbatched.throughput_rps() > 0
-          ? batched.throughput_rps() / unbatched.throughput_rps()
-          : 0.0;
-
-  // Open-loop (Poisson) sweep: the same offered-load ladder against a
-  // 1-shard and an N-shard server, so the saturation knee and the
-  // shards-vs-throughput relation are both visible in one artifact.
-  const int open_loop_steps =
-      static_cast<int>(flags.GetInt("open-loop-steps", 5));
-  const int sweep_shards = static_cast<int>(flags.GetInt("shards", 4));
-  const double base_rps =
-      static_cast<double>(flags.GetInt("open-loop-base-rps", 100));
-  const double step_duration_s = flags.GetDouble("open-loop-duration-s", 2.0);
-  const int connections =
-      static_cast<int>(flags.GetInt("open-loop-connections", 32));
-  const int idle_connections =
-      static_cast<int>(flags.GetInt("idle-connections", 0));
-  RaiseFdLimit(static_cast<uint64_t>(connections + idle_connections) + 512);
-
-  struct SweepConfig {
-    int shards = 1;
-    std::vector<OpenLoopStep> steps;
-    int64_t idle_held = 0;
-  };
-  std::vector<SweepConfig> sweeps;
-  if (open_loop_steps > 0) {
-    std::vector<int> shard_configs{1};
-    if (sweep_shards > 1) shard_configs.push_back(sweep_shards);
-    for (int shards : shard_configs) {
-      SweepConfig sweep;
-      sweep.shards = shards;
-      graph::BipartiteGraph graph(dataset.num_users(), dataset.num_items(),
-                                  dataset.ratings());
-      serve::RatingServer server(
-          &dataset, ModelConfig(flags), std::move(graph),
-          BuildServeConfig(flags, window_us, model_path, shards));
-      server.Start();
-      std::vector<int> idle_fds =
-          OpenIdleConnections(server.port(), idle_connections);
-      sweep.idle_held = static_cast<int64_t>(idle_fds.size());
-      for (int s = 0; s < open_loop_steps; ++s) {
-        const double offered = base_rps * static_cast<double>(1 << s);
-        std::cout << "open-loop shards=" << shards << " offered=" << offered
-                  << " rps..." << std::flush;
-        const obs::MetricsRegistry::Snapshot before =
-            obs::MetricsRegistry::Global().Take();
-        OpenLoopStep step = OpenLoopPhase(
-            server.port(), offered, step_duration_s, connections, num_users,
-            items_per_request, dataset.num_items(),
-            static_cast<uint64_t>(flags.GetInt("seed", 7)) + 1000 +
-                static_cast<uint64_t>(s));
-        const obs::MetricsRegistry::Snapshot delta =
-            obs::MetricsRegistry::Global().Take().Delta(before);
-        const auto step_counter = [&delta](const std::string& name) {
-          const auto it = delta.counters.find(name);
-          return it == delta.counters.end() ? int64_t{0}
-                                            : static_cast<int64_t>(it->second);
-        };
-        step.forwards = step_counter("serve.batches");
-        step.batched_users = step_counter("serve.batched_users");
-        std::cout << " achieved=" << static_cast<int64_t>(step.achieved_rps())
-                  << " p99=" << Percentile(step.latencies_us, 0.99) << "us\n";
-        sweep.steps.push_back(std::move(step));
-      }
-      CloseConnections(&idle_fds);
-      server.Stop();
-      sweeps.push_back(std::move(sweep));
-    }
-  }
-
-  std::string json = "{\"benchmark\":\"serve\"";
-  json += ",\"profile\":" + obs::JsonString(flags.GetString("profile",
-                                                            "movielens"));
-  json += ",\"clients\":" + std::to_string(clients);
-  json += ",\"requests_per_client\":" + std::to_string(requests_each);
-  json += ",\"batch_window_us\":" + std::to_string(window_us);
-  json += ",\"max_batch_users\":" +
-          std::to_string(flags.GetInt("max-batch-users", 8));
-  json += ",\"context\":" + std::to_string(flags.GetInt("context", 16));
-  json += ",\"phases\":{";
-  json += "\"unbatched\":" + PhaseJson(unbatched);
-  json += ",\"unbatched_warm\":" + PhaseJson(unbatched_warm);
-  json += ",\"batched\":" + PhaseJson(batched);
-  json += ",\"cache_warm\":" + PhaseJson(cache_warm);
-  json += "}";
-  json += ",\"speedup_batched_vs_unbatched\":" + obs::JsonNumber(speedup);
-  if (!sweeps.empty()) {
-    json += ",\"open_loop\":{";
-    json += "\"duration_s\":" + obs::JsonNumber(step_duration_s);
-    json += ",\"connections\":" + std::to_string(connections);
-    json += ",\"idle_connections\":" + std::to_string(idle_connections);
-    json += ",\"configs\":{";
-    for (size_t i = 0; i < sweeps.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "\"shards_" + std::to_string(sweeps[i].shards) + "\":{";
-      json += "\"shards\":" + std::to_string(sweeps[i].shards);
-      json += ",\"idle_connections_held\":" +
-              std::to_string(sweeps[i].idle_held);
-      json += ",\"steps\":[";
-      for (size_t s = 0; s < sweeps[i].steps.size(); ++s) {
-        if (s > 0) json += ",";
-        json += OpenLoopStepJson(sweeps[i].steps[s], sweeps[i].shards);
-      }
-      json += "]}";
-    }
-    json += "}";
-    // Per-step achieved-throughput ratio of the multi-shard config over the
-    // single-shard one at equal offered load; the minimum is the headline
-    // "sharding does not cost throughput" number (> 1 needs multiple cores).
-    if (sweeps.size() == 2) {
-      double min_ratio = -1.0;
-      const size_t steps =
-          std::min(sweeps[0].steps.size(), sweeps[1].steps.size());
-      for (size_t s = 0; s < steps; ++s) {
-        const double single = sweeps[0].steps[s].achieved_rps();
-        const double multi = sweeps[1].steps[s].achieved_rps();
-        if (single <= 0) continue;
-        const double ratio = multi / single;
-        if (min_ratio < 0 || ratio < min_ratio) min_ratio = ratio;
-      }
-      json += ",\"multi_over_single_min_ratio\":" +
-              obs::JsonNumber(min_ratio < 0 ? 0.0 : min_ratio);
-    }
-    json += "}";
-  }
-  json += "}";
-
-  std::string json_error;
-  HIRE_CHECK(obs::JsonValidate(json, &json_error)) << json_error;
-  std::ofstream file(out);
-  HIRE_CHECK(file.is_open()) << "cannot write " << out;
-  file << json << "\n";
-
-  std::cout << "unbatched: "
-            << static_cast<int64_t>(unbatched.throughput_rps()) << " rps, "
-            << "batched: " << static_cast<int64_t>(batched.throughput_rps())
-            << " rps (speedup " << speedup << "x), cache-warm p50 "
-            << Percentile(cache_warm.latencies_us, 0.5) << "us vs cold p50 "
-            << Percentile(batched.latencies_us, 0.5) << "us\n";
-  std::cout << "wrote " << out << "\n";
-
-  if (unbatched.failures + batched.failures + cache_warm.failures +
-          unbatched_warm.failures >
-      0) {
-    std::cerr << "error: failed requests during bench\n";
-    return 1;
-  }
-  return 0;
 }
 
 int RunDrive(const Flags& flags) {
@@ -802,9 +207,8 @@ int RunDrive(const Flags& flags) {
     pos = comma + 1;
   }
 
-  const PhaseResult result =
-      DrivePhase("drive", port, clients, requests_each, max_user,
-                 items_per_request, max_item, options);
+  const DriveResult result = Drive(port, clients, requests_each, max_user,
+                                  items_per_request, max_item, options);
   std::cout << "drive: " << (result.requests - result.failures) << "/"
             << result.requests << " ok, "
             << static_cast<int64_t>(result.throughput_rps()) << " rps, p50 "
@@ -853,12 +257,13 @@ int main(int argc, char** argv) {
   try {
     // Parse skips argv[0] itself (there is no subcommand to strip here).
     const Flags flags = Flags::Parse(argc, argv);
-    InitGlobalThreadsFromFlags(flags);
-    const std::string mode = flags.GetString("mode", "bench");
-    if (mode == "bench") return RunBench(flags);
+    const std::string mode = flags.GetString("mode", "");
     if (mode == "drive") return RunDrive(flags);
     if (mode == "probe") return RunProbe(flags);
-    std::cerr << "unknown --mode '" << mode << "'\n" << kUsage;
+    std::cerr << (mode.empty() ? "--mode is required"
+                               : "unknown --mode '" + mode + "'")
+              << "\n"
+              << kUsage;
     return 2;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";

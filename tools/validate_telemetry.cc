@@ -4,17 +4,14 @@
 //
 // Usage:
 //   validate_telemetry --trace=t.json --expect-spans=train_step,mhsa_forward
-//       --metrics=m.jsonl --min-steps=20 --min-serve=0
+//       --metrics=m.jsonl --min-steps=20
 //
 // Checks:
 //   --trace        parses as one complete JSON document, declares
 //                  "traceEvents", and contains every --expect-spans name
 //   --metrics      every line parses as JSON; at least --min-steps records
 //                  with "type":"step", each carrying loss / grad_norm /
-//                  lr_scale / wall_s; at least --min-serve records with
-//                  "type":"serve", each carrying numeric latency_us /
-//                  batch_users / cache_hit; at least one "metrics_snapshot"
-//                  record
+//                  lr_scale / wall_s; at least one "metrics_snapshot" record
 // Exits 0 when every requested check passes, 1 otherwise.
 
 #include <fstream>
@@ -66,13 +63,11 @@ void CheckTrace(const std::string& path, const std::string& expect_spans) {
             << " bytes\n";
 }
 
-void CheckMetrics(const std::string& path, int64_t min_steps,
-                  int64_t min_serve) {
+void CheckMetrics(const std::string& path, int64_t min_steps) {
   std::ifstream in(path);
   HIRE_CHECK(in.is_open()) << "cannot open '" << path << "'";
   int64_t line_number = 0;
   int64_t step_records = 0;
-  int64_t serve_records = 0;
   int64_t snapshot_records = 0;
   std::string line;
   while (std::getline(in, line)) {
@@ -100,16 +95,6 @@ void CheckMetrics(const std::string& path, int64_t min_steps,
                " step record lacks numeric \"" + field + "\"");
         }
       }
-    } else if (type == "serve") {
-      ++serve_records;
-      double value = 0.0;
-      for (const char* field : {"user", "items", "latency_us", "batch_users",
-                                "cache_hit", "model_version"}) {
-        if (!hire::obs::FindJsonNumberField(line, field, &value)) {
-          Fail("metrics '" + path + "' line " + std::to_string(line_number) +
-               " serve record lacks numeric \"" + field + "\"");
-        }
-      }
     } else if (type == "metrics_snapshot") {
       ++snapshot_records;
     }
@@ -118,16 +103,12 @@ void CheckMetrics(const std::string& path, int64_t min_steps,
     Fail("metrics '" + path + "' holds " + std::to_string(step_records) +
          " step record(s); expected at least " + std::to_string(min_steps));
   }
-  if (serve_records < min_serve) {
-    Fail("metrics '" + path + "' holds " + std::to_string(serve_records) +
-         " serve record(s); expected at least " + std::to_string(min_serve));
-  }
   if (snapshot_records == 0) {
     Fail("metrics '" + path + "' has no metrics_snapshot record");
   }
   std::cout << "metrics '" << path << "': " << line_number << " line(s), "
-            << step_records << " step record(s), " << serve_records
-            << " serve record(s), " << snapshot_records << " snapshot(s)\n";
+            << step_records << " step record(s), " << snapshot_records
+            << " snapshot(s)\n";
 }
 
 }  // namespace
@@ -144,8 +125,7 @@ int main(int argc, char** argv) {
       CheckTrace(trace, flags.GetString("expect-spans", ""));
     }
     if (!metrics.empty()) {
-      CheckMetrics(metrics, flags.GetInt("min-steps", 1),
-                   flags.GetInt("min-serve", 0));
+      CheckMetrics(metrics, flags.GetInt("min-steps", 1));
     }
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
