@@ -1,7 +1,10 @@
 #include "bench/bench_common.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "baselines/afn.h"
 #include "baselines/deepfm.h"
@@ -169,15 +172,25 @@ void RunMethodOnce(const std::string& method, const data::Dataset& dataset,
       : tanp_model != nullptr
           ? static_cast<core::RatingPredictor*>(tanp_model.get())
           : predictor.get();
-  const core::EvalResult eval =
-      core::EvaluateColdStart(active, dataset, split, eval_config);
+  // Every pass ranks the same lists; the metrics come from the first.
+  std::vector<double> pass_seconds;
+  core::EvalResult eval;
+  for (int pass = 0; pass < kTestTimingPasses; ++pass) {
+    core::EvalResult timed =
+        core::EvaluateColdStart(active, dataset, split, eval_config);
+    pass_seconds.push_back(timed.predict_seconds);
+    if (pass == 0) eval = std::move(timed);
+  }
+  std::sort(pass_seconds.begin(), pass_seconds.end());
 
   for (const auto& [k, m] : eval.by_k) {
     result->precision[k].push_back(m.precision);
     result->ndcg[k].push_back(m.ndcg);
     result->map[k].push_back(m.map);
   }
-  result->total_test_seconds += eval.predict_seconds;
+  result->total_test_seconds += pass_seconds[pass_seconds.size() / 2];
+  result->total_test_seconds_min += pass_seconds.front();
+  result->total_test_seconds_max += pass_seconds.back();
 }
 
 metrics::RankingMetrics RunHireVariant(const data::Dataset& dataset,

@@ -61,9 +61,20 @@ struct MethodResult {
   std::map<int, std::vector<double>> precision;
   std::map<int, std::vector<double>> ndcg;
   std::map<int, std::vector<double>> map;
+  /// Prediction time of the evaluation, summed over seeds. Each seed's
+  /// evaluation is timed kTestTimingPasses times on the one trained
+  /// predictor: total_test_seconds adds the median pass, the min and max
+  /// fields the fastest and slowest.
   double total_test_seconds = 0.0;
+  double total_test_seconds_min = 0.0;
+  double total_test_seconds_max = 0.0;
   double total_train_seconds = 0.0;
 };
+
+/// Timed evaluation passes per method and seed in RunMethodOnce. One pass
+/// of a method's test time moves by tens of percent between runs on a
+/// shared host; the median of five does not.
+constexpr int kTestTimingPasses = 5;
 
 /// Trains the named method on `split` and evaluates it through the shared
 /// cold-start protocol. Known methods: "HIRE", "NeuMF", "Wide&Deep",

@@ -1,6 +1,8 @@
 // Reproduces Fig. 6: total test (prediction) time per method, user
 // cold-start scenario. Each method is trained once per dataset profile and
-// its wall-clock prediction time over the evaluation set is reported.
+// its wall-clock prediction time over the evaluation set is timed
+// bench::kTestTimingPasses times; a cell is the median pass with the
+// fastest and slowest in brackets.
 //
 // Expected shape (paper): the CF baselines are fastest (a pair in, a score
 // out); HIRE pays for multi-layer MHSA but stays mid-pack; the
@@ -32,7 +34,8 @@ int main() {
   };
 
   std::cout << "Fig. 6 reproduction — total test time (seconds), user "
-               "cold-start\n";
+               "cold-start: median of "
+            << bench::kTestTimingPasses << " passes (min-max)\n";
   TablePrinter table({"Method", "MovieLens-1M", "Bookcrossing", "Douban",
                       "Total"});
 
@@ -40,9 +43,11 @@ int main() {
       "HIRE", "NeuMF", "Wide&Deep", "DeepFM", "AFN", "GraphRec", "MeLU-FO",
       "ItemKNN", "Popularity"};
 
-  // Collect per-method, per-dataset test seconds.
+  // Collect per-method, per-dataset test seconds: median, min, max.
   std::vector<std::vector<double>> seconds(
       methods.size(), std::vector<double>(profiles.size(), -1.0));
+  std::vector<std::vector<double>> fastest = seconds;
+  std::vector<std::vector<double>> slowest = seconds;
 
   for (size_t p = 0; p < profiles.size(); ++p) {
     const data::Dataset dataset =
@@ -59,6 +64,8 @@ int main() {
       bench::RunMethodOnce(methods[m], dataset, split, options, 5150,
                            &result);
       seconds[m][p] = result.total_test_seconds;
+      fastest[m][p] = result.total_test_seconds_min;
+      slowest[m][p] = result.total_test_seconds_max;
     }
   }
 
@@ -69,7 +76,9 @@ int main() {
       if (seconds[m][p] < 0) {
         row.push_back("n/a");
       } else {
-        row.push_back(FormatDouble(seconds[m][p], 3));
+        row.push_back(FormatDouble(seconds[m][p], 3) + " (" +
+                      FormatDouble(fastest[m][p], 3) + "-" +
+                      FormatDouble(slowest[m][p], 3) + ")");
         total += seconds[m][p];
       }
     }

@@ -1,18 +1,22 @@
 // Micro-benchmarks gating the tape-free fused inference path: fused QKV +
 // online-softmax attention vs the tape MHSA, the fused GEMM epilogue vs the
 // unfused op chain, and the whole serve forward (InferenceModel::Predict)
-// vs the autograd reference (HireModel::Predict) at serve batch shapes.
+// vs the autograd reference (HireModel::Predict) at serve batch shapes;
+// plus the fused attention core on the dispatched kernels vs the portable
+// ones (tensor/kernel_dispatch.h) at the hirebench model's MBA and MBU
+// shapes.
 //
 // Three modes, all at the first --threads count (default 1):
 //   * default: the google-benchmark suite below.
 //   * --emit_json=PATH [--threads=1,2] [--min_time=0.2]: times every
-//     tape/fused pair in 15 alternating rounds, each side at least min_time
-//     seconds a round, and takes the median per-round speedup of fused over
-//     tape; repeats that in five passes and keeps each row's slowest pass. Writes this machine's record (machine fingerprint; per
-//     row op, shape, impl, threads, median ns/iter, median speedup) into
-//     PATH, replacing the record with the same fingerprint and keeping the
-//     others. tools/run_bench.sh --kernels wraps this for BENCH_kernels.json
-//     at the repo root.
+//     tape/fused (or portable/dispatched) pair in 15 alternating rounds,
+//     each side at least min_time seconds a round, and takes the median
+//     per-round speedup over the baseline side; repeats that in five passes
+//     and keeps each row's slowest pass. Writes this machine's record
+//     (machine fingerprint; per row op, shape, impl, threads, median
+//     ns/iter, median speedup) into PATH, replacing the record with the
+//     same fingerprint and keeping the others. tools/run_bench.sh
+//     --kernels wraps this for BENCH_kernels.json at the repo root.
 //   * --check_regress=BASELINE [--regress_tolerance=0.10]: runs the same
 //     timing and gates the in-run speedups, never absolute times (those move
 //     across hardware and between runs on one host). serve_forward must be
@@ -51,6 +55,7 @@
 #include "graph/samplers.h"
 #include "nn/fused_attention.h"
 #include "nn/multi_head_self_attention.h"
+#include "tensor/kernel_dispatch.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
 #include "obs/stopwatch.h"
@@ -218,20 +223,31 @@ BENCHMARK(BM_FusedServeForward)->Arg(16)->Arg(1);
 // JSON harness (--emit_json) and the regression gate (--check_regress).
 // ---------------------------------------------------------------------------
 
+// Rows come in (baseline, optimised) pairs: "tape" then "fused" for the
+// fused inference path, "portable" then "dispatched" for the kernels the
+// ISA dispatch (tensor/kernel_dispatch.h) picks. `speedup_vs_tape` keeps its
+// name in the JSON for older records; it is the speedup over the pair's
+// baseline, whichever that is.
 struct BenchRow {
   std::string op;
   std::string shape;
-  std::string impl;  // "tape" or "fused"
+  std::string impl;
   int threads = 1;
   double ns_per_iter = 0.0;
-  double speedup_vs_tape = 0.0;  // 1.0 on tape rows
+  double speedup_vs_tape = 0.0;  // 1.0 on baseline rows
 };
+
+bool IsBaselineImpl(const std::string& impl) {
+  return impl == "tape" || impl == "portable";
+}
 
 struct BenchCase {
   std::string op;
   std::string shape;
-  std::function<void()> tape_fn;
-  std::function<void()> fused_fn;
+  std::function<void()> tape_fn;   // the baseline side
+  std::function<void()> fused_fn;  // the side that is gated
+  std::string base_impl = "tape";
+  std::string impl = "fused";
 };
 
 /// Times `fn` for at least `min_seconds` of wall clock, however many
@@ -283,6 +299,10 @@ struct BenchFixtures {
 
   Tensor gemm_a, gemm_b, gemm_bias, gemm_c;
   Tensor attn_q, attn_k, attn_v, attn_out;
+  // Fused attention cores at the hirebench model's shapes: MBA attends over
+  // 256 cells x 9 attribute tokens with 4 heads x 2, MBU over 16 items x 16
+  // user tokens with 4 heads x 8. QKV buffers [batch, tokens, 3 * inner].
+  Tensor mba_qkv, mba_out, mbu_qkv, mbu_out;
 
   BenchFixtures()
       : dataset(BenchDataset()),
@@ -303,7 +323,11 @@ struct BenchFixtures {
         attn_q(RandomNormal({128, 16, 16}, 0, 1, &rng)),
         attn_k(RandomNormal({128, 16, 16}, 0, 1, &rng)),
         attn_v(RandomNormal({128, 16, 16}, 0, 1, &rng)),
-        attn_out({128, 16, 16}) {
+        attn_out({128, 16, 16}),
+        mba_qkv(RandomNormal({256, 9, 24}, 0, 1, &rng)),
+        mba_out({256, 9, 8}),
+        mbu_qkv(RandomNormal({16, 16, 96}, 0, 1, &rng)),
+        mbu_out({16, 16, 32}) {
     model.SetTraining(false);
     mhsa.SetTraining(false);
   }
@@ -356,6 +380,25 @@ std::vector<BenchCase> BuildCases(BenchFixtures* fx) {
          }
          benchmark::DoNotOptimize(fx->attn_out.data());
        }});
+
+  // The attention core on the portable kernels vs the dispatched ones.
+  for (const auto& [shape, qkv, out, head_dim] :
+       {std::make_tuple("256x9_4x2", &fx->mba_qkv, &fx->mba_out, 2),
+        std::make_tuple("16x16_4x8", &fx->mbu_qkv, &fx->mbu_out, 8)}) {
+    auto run = [qkv = qkv, out = out, head_dim = head_dim] {
+      const int64_t batch = qkv->shape(0);
+      const int64_t tokens = qkv->shape(1);
+      nn::FusedAttentionCore(4, head_dim, qkv->data(), batch, tokens, tokens,
+                             out->data());
+      benchmark::DoNotOptimize(out->data());
+    };
+    cases.push_back({"attention_core", shape,
+                     [run] {
+                       ScopedPortableKernels portable;
+                       run();
+                     },
+                     run, "portable", "dispatched"});
+  }
 
   // The acceptance case: whole forward at the default serve batch shape.
   cases.push_back(
@@ -410,20 +453,21 @@ std::vector<BenchRow> RunCases(const std::vector<BenchCase>& cases,
       BenchRow tape_row;
       tape_row.op = cases[c].op;
       tape_row.shape = cases[c].shape;
-      tape_row.impl = "tape";
+      tape_row.impl = cases[c].base_impl;
       tape_row.threads = threads;
       tape_row.ns_per_iter = Median(tape_ns[c]);
       tape_row.speedup_vs_tape = 1.0;
       rows.push_back(tape_row);
       BenchRow fused_row = tape_row;
-      fused_row.impl = "fused";
+      fused_row.impl = cases[c].impl;
       fused_row.ns_per_iter = Median(fused_ns[c]);
       fused_row.speedup_vs_tape = Median(speedups[c]);
       rows.push_back(fused_row);
       const auto [lo, hi] =
           std::minmax_element(speedups[c].begin(), speedups[c].end());
       std::cerr << tape_row.op << " " << tape_row.shape << " t=" << threads
-                << ": tape " << tape_row.ns_per_iter << " ns/iter, fused "
+                << ": " << tape_row.impl << " " << tape_row.ns_per_iter
+                << " ns/iter, " << fused_row.impl << " "
                 << fused_row.ns_per_iter << " ns/iter, median speedup x"
                 << fused_row.speedup_vs_tape << " over " << kRounds
                 << " rounds (x" << *lo << "..x" << *hi << ")\n";
@@ -448,7 +492,7 @@ std::vector<BenchRow> RecordRows(const std::vector<BenchCase>& cases,
   for (int pass = 1; pass < kRecordPasses; ++pass) {
     const std::vector<BenchRow> next =
         RunCases(cases, thread_counts, min_seconds);
-    for (size_t i = 1; i < rows.size(); i += 2) {  // (tape, fused) pairs
+    for (size_t i = 1; i < rows.size(); i += 2) {  // (baseline, gated) pairs
       if (next[i].speedup_vs_tape < rows[i].speedup_vs_tape) {
         rows[i - 1] = next[i - 1];
         rows[i] = next[i];
@@ -471,8 +515,10 @@ std::string JsonString(const std::string& text) {
 /// fingerprint() in hirebench/run.py: CPU model and ISA flags from
 /// /proc/cpuinfo, logical cores (online CPUs, so `taskset` does not change
 /// it), the compiler's `--version` line and the build type (both stamped in
-/// by bench/CMakeLists.txt). Serialised as one line of JSON; a record belongs
-/// to this machine when its fingerprint line is equal.
+/// by bench/CMakeLists.txt); plus the kernel ISA the dispatch picked
+/// (tensor/kernel_dispatch.h), which hirebench does not record. Serialised
+/// as one line of JSON; a record belongs to this machine when its
+/// fingerprint line is equal.
 std::string MachineFingerprint() {
   std::string cpu_model = "unknown";
   std::set<std::string> flags;
@@ -500,7 +546,9 @@ std::string MachineFingerprint() {
       << ", \"nproc\": " << (nproc == 0 ? 1 : nproc) << ", \"isa\": ["
       << Join(isa, ", ") << "], \"compiler\": "
       << JsonString(HIRE_CXX_COMPILER_VERSION)
-      << ", \"build_type\": " << JsonString(HIRE_BUILD_TYPE) << "}";
+      << ", \"build_type\": " << JsonString(HIRE_BUILD_TYPE)
+      << ", \"kernel_isa\": " << JsonString(KernelIsaName(HostKernelIsa()))
+      << "}";
   return out.str();
 }
 
@@ -642,7 +690,7 @@ int CheckRegress(const std::string& baseline_path, double tolerance,
   for (const Record& record : records) {
     if (record.fingerprint != fingerprint) continue;
     for (const BenchRow& row : record.rows) {
-      if (row.impl == "fused") {
+      if (!IsBaselineImpl(row.impl)) {
         recorded[{row.op, row.shape, row.threads}] = row.speedup_vs_tape;
       }
     }
@@ -658,7 +706,7 @@ int CheckRegress(const std::string& baseline_path, double tolerance,
   int gated = 0;
   std::vector<std::string> ungated;
   for (const BenchRow& row : rows) {
-    if (row.impl != "fused") continue;
+    if (IsBaselineImpl(row.impl)) continue;
     const std::string label =
         row.op + " " + row.shape + " t=" + std::to_string(row.threads);
     double floor = 0.0;
@@ -681,8 +729,8 @@ int CheckRegress(const std::string& baseline_path, double tolerance,
     const bool ok = row.speedup_vs_tape >= floor;
     if (!ok) ++failures;
     std::cerr << (ok ? "kernel_regress ok: " : "kernel_regress FAIL: ")
-              << label << " fused x" << FormatDouble(row.speedup_vs_tape, 3)
-              << " of tape, floor x" << FormatDouble(floor, 3) << " (" << why
+              << label << " " << row.impl << " x"
+              << FormatDouble(row.speedup_vs_tape, 3) << " of baseline, floor x" << FormatDouble(floor, 3) << " (" << why
               << ")\n";
   }
   if (!ungated.empty()) {
@@ -698,7 +746,7 @@ int CheckRegress(const std::string& baseline_path, double tolerance,
     return 1;
   }
   std::cerr << "kernel_regress: PASS (" << gated
-            << " rows gated on in-run fused/tape speedups)\n";
+            << " rows gated on in-run speedups over their baselines)\n";
   return 0;
 }
 

@@ -55,8 +55,11 @@ FusedAttentionWeights PackAttentionWeights(
 /// output projection over the query rows. The attention inner loops are
 /// compile-time specialised for the common head dims (2, 4, 8, 16) and fall
 /// back to the generic strided kernel (ops::OnlineSoftmaxWeightedSumInto)
-/// otherwise; both orderings are identical, so the fallback changes nothing
-/// but speed.
+/// otherwise; on AVX2 hosts head dims 8 and 16, and head dim 2 with 4 or
+/// 8 heads, run eight sequences in the lanes of a vector
+/// (tensor/kernel_dispatch.h). Every variant keeps
+/// the generic kernel's operation order, so the choice changes nothing but
+/// speed.
 ///
 /// Every step after the QKV GEMM is row-local and each GEMM row
 /// accumulates in the same order whatever the row count, so out row i is
@@ -69,6 +72,16 @@ FusedAttentionWeights PackAttentionWeights(
 void FusedAttentionForward(const FusedAttentionWeights& w, const float* x,
                            int64_t batch, int64_t tokens, int64_t queries,
                            float* out, float* scratch);
+
+/// The attention step of FusedAttentionForward on its own, for tests and the
+/// kernel bench: reads the QKV projection `qkv` [batch, tokens, 3*inner]
+/// (Q columns, then K, then V; inner = num_heads * head_dim) and writes the
+/// head-merged attention output `merged` [batch, queries, inner]. Runs on
+/// the dispatched kernels (tensor/kernel_dispatch.h); every ISA gives the
+/// same bits.
+void FusedAttentionCore(int64_t num_heads, int64_t head_dim,
+                        const float* qkv, int64_t batch, int64_t tokens,
+                        int64_t queries, float* merged);
 
 /// Allocating convenience wrapper for tests and benchmarks: full
 /// self-attention (queries == tokens).

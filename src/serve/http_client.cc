@@ -100,7 +100,8 @@ HttpClient::Result HttpClient::Request(
     const std::string& body,
     const std::vector<std::pair<std::string, std::string>>& extra_headers) {
   Result result = RequestOnce(method, path, body, extra_headers);
-  if (!result.ok && !result.timed_out && method == "GET") {
+  if (!result.ok && !result.timed_out && !result.framing_error &&
+      method == "GET") {
     // The keep-alive connection may have died mid-exchange. Retrying is only
     // safe for idempotent GETs: a POST's first attempt may have been fully
     // processed before the response was lost, and replaying it would e.g.
@@ -123,10 +124,18 @@ HttpClient::Result HttpClient::RequestOnce(
     // Reused keep-alive connection: the server may have closed it while it
     // sat idle. Peek without blocking; EOF or an error here means the
     // connection is stale, and since no request bytes have been sent yet it
-    // is safe to reconnect for any method.
+    // is safe to reconnect for any method. Bytes here answer no request of
+    // ours (a server that replied to the last one twice); read as the next
+    // reply, they would hand the caller another request's answer.
     char probe = 0;
     const ssize_t n =
         ::recv(fd_, &probe, sizeof(probe), MSG_PEEK | MSG_DONTWAIT);
+    if (n > 0) {
+      result.framing_error = true;
+      result.error =
+          "framing error: unsolicited bytes on an idle keep-alive connection";
+      return result;
+    }
     if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
       Disconnect();
     }
@@ -236,6 +245,16 @@ HttpClient::Result HttpClient::RequestOnce(
       return result;
     }
     buffer.append(chunk, static_cast<size_t>(n));
+  }
+  if (buffer.size() > body_begin + content_length) {
+    // One request, more than one reply's bytes: dropping them would leave
+    // the stream misframed for whatever reads it next.
+    result.framing_error = true;
+    result.error = "framing error: " +
+                   std::to_string(buffer.size() - body_begin -
+                                  content_length) +
+                   " bytes past Content-Length";
+    return result;
   }
   result.body = buffer.substr(body_begin, content_length);
   result.ok = true;

@@ -26,6 +26,12 @@ class HttpClient {
     /// reset: the server is reachable but did not answer in time). The
     /// error string carries a "timeout:" prefix too.
     bool timed_out = false;
+    /// The reply did not match the request one for one: bytes past its
+    /// Content-Length, or bytes that arrived on the idle keep-alive
+    /// connection before the request was sent (a server that answered an
+    /// earlier request twice). The connection is dropped and the request
+    /// is not retried. The error string carries a "framing error:" prefix.
+    bool framing_error = false;
   };
 
   /// `timeout_ms` bounds every socket send and receive (SO_SNDTIMEO /
@@ -42,7 +48,8 @@ class HttpClient {
   /// mid-exchange failure, only idempotent GETs are retried on a fresh
   /// connection — a POST may already have been processed server-side. A
   /// timed-out GET is not retried either (the server is alive but slow;
-  /// retrying would just double the wait).
+  /// retrying would just double the wait), nor is a framing error (the
+  /// server answered, but not one reply per request).
   Result Request(
       const std::string& method, const std::string& path,
       const std::string& body = "",

@@ -9,6 +9,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
+#include "tensor/kernel_dispatch.h"
 #include "utils/check.h"
 #include "utils/fault_injection.h"
 #include "utils/logging.h"
@@ -219,6 +220,9 @@ obs::MetricsRegistry::Snapshot RatingServer::TakeMetricsSnapshot() {
       ->Set(static_cast<double>(router_.min_model_version()));
   registry.GetGauge("serve.graph_version")
       ->Set(static_cast<double>(graph_version()));
+  // The ISA the forward's kernels run on: 0 portable, 1 AVX2.
+  registry.GetGauge("serve.kernel_isa")
+      ->Set(static_cast<double>(ActiveKernelIsa()));
   return registry.Take();
 }
 

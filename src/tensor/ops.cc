@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "obs/kernel_timers.h"
+#include "tensor/kernel_dispatch.h"
 #include "utils/check.h"
 #include "utils/cost_model.h"
 #include "utils/parallel.h"
@@ -76,8 +77,8 @@ Tensor ElementwiseUnary(const Tensor& a, UnaryFn fn,
 //     skip was a mispredicting branch in the hottest loop and silently
 //     broke IEEE semantics (0 * inf must be NaN, not "no-op").
 //   * BlockedGemm: cache-blocked (MC x KC x NC) with packed panels and a
-//     register-tiled MR x NR micro-kernel whose inner loop the compiler
-//     auto-vectorizes.
+//     register-tiled MR x NR micro-kernel chosen from the kernel table
+//     (4 x 16 and 4 x 8 AVX2 tiles, or the portable 4 x 8 SSE2 tile).
 // Parallel dispatch shards rows of A; each row is produced wholly by one
 // worker, keeping threaded output bitwise equal to serial.
 // ---------------------------------------------------------------------------
@@ -89,14 +90,6 @@ constexpr int64_t kKc = 256;   // depth per cache block (A panel ~64 KiB)
 constexpr int64_t kNc = 256;   // B cols per cache block (B panel ~256 KiB)
 
 static_assert(kMc % kMr == 0 && kNc % kMaxNr == 0, "block/tile mismatch");
-
-// Micro-tile width, chosen once at runtime: 16 floats (two YMM vectors,
-// eight YMM accumulator registers) when the host has AVX2, else 8 (two XMM
-// vectors) so the 4 x NR accumulator block still fits the 16 SSE registers.
-int64_t NrTile() {
-  static const int64_t nr = __builtin_cpu_supports("avx2") ? 16 : 8;
-  return nr;
-}
 
 // Packs the kc x nc block of B starting at (pc, jc) into nr_tile-wide column
 // panels: bpack[j0 * kc + p * nr_tile + j] = B[pc + p, jc + j0 + j]. Ragged
@@ -157,12 +150,17 @@ typedef float v8sf __attribute__((vector_size(32)));
 typedef float v4sf_u __attribute__((vector_size(16), aligned(4)));
 typedef float v8sf_u __attribute__((vector_size(32), aligned(4)));
 
-// 4 x 16 tile = eight 8-wide accumulators; the AVX2 clone keeps them in YMM
-// registers. The baseline clone splits each op into two SSE halves (slower,
-// only used on hosts without AVX2, still bit-identical).
-__attribute__((target_clones("avx2", "default"))) void MicroKernel16(
-    const float* apanel, const float* bpanel, float* c, int64_t ldc,
-    int64_t kc) {
+// Full-tile kernel signature: C[kMr, width] += Apanel * Bpanel, where the
+// packed B panel rows are the table's panel width apart.
+using TileFn = void (*)(const float* apanel, const float* bpanel, float* c,
+                        int64_t ldc, int64_t kc);
+
+#if defined(__x86_64__) || defined(__i386__)
+// 4 x 16 tile = eight 8-wide accumulators in YMM registers.
+__attribute__((target("avx2"))) void MicroKernel16Avx2(const float* apanel,
+                                                       const float* bpanel,
+                                                       float* c, int64_t ldc,
+                                                       int64_t kc) {
   float* c0 = c;
   float* c1 = c + ldc;
   float* c2 = c + 2 * ldc;
@@ -194,9 +192,10 @@ __attribute__((target_clones("avx2", "default"))) void MicroKernel16(
   *(v8sf_u*)(c3) = acc30;
   *(v8sf_u*)(c3 + 8) = acc31;
 }
+#endif
 
-// 4 x 8 tile = eight 4-wide accumulators; fits the 16 XMM registers on
-// SSE-only hosts.
+// 4 x 8 tile = eight 4-wide accumulators; fits the 16 XMM registers of the
+// portable (SSE2) baseline.
 void MicroKernel8(const float* apanel, const float* bpanel, float* c,
                   int64_t ldc, int64_t kc) {
   float* c0 = c;
@@ -229,6 +228,57 @@ void MicroKernel8(const float* apanel, const float* bpanel, float* c,
   *(v4sf_u*)(c2 + 4) = acc21;
   *(v4sf_u*)(c3) = acc30;
   *(v4sf_u*)(c3 + 4) = acc31;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+// 4 x 8 tile over the first 8 columns of a 16-wide packed panel: the 8-wide
+// column remainder (N = 8, 24, 72, ...) that the 16-wide tiling leaves.
+__attribute__((target("avx2"))) void MicroKernel8Avx2(const float* apanel,
+                                                      const float* bpanel,
+                                                      float* c, int64_t ldc,
+                                                      int64_t kc) {
+  float* c0 = c;
+  float* c1 = c + ldc;
+  float* c2 = c + 2 * ldc;
+  float* c3 = c + 3 * ldc;
+  v8sf acc0 = *(const v8sf_u*)(c0);
+  v8sf acc1 = *(const v8sf_u*)(c1);
+  v8sf acc2 = *(const v8sf_u*)(c2);
+  v8sf acc3 = *(const v8sf_u*)(c3);
+  for (int64_t p = 0; p < kc; ++p) {
+    const float* arow = apanel + p * kMr;
+    const v8sf b = *(const v8sf_u*)(bpanel + p * 16);
+    acc0 += arow[0] * b;
+    acc1 += arow[1] * b;
+    acc2 += arow[2] * b;
+    acc3 += arow[3] * b;
+  }
+  *(v8sf_u*)(c0) = acc0;
+  *(v8sf_u*)(c1) = acc1;
+  *(v8sf_u*)(c2) = acc2;
+  *(v8sf_u*)(c3) = acc3;
+}
+#endif
+
+// The GEMM row of the kernel table (tensor/kernel_dispatch.h), indexed by
+// KernelIsa: the panel width B is packed at, the full kMr x nr tile, and an
+// optional kMr x 8 tile for an 8-wide column remainder (null: that
+// remainder goes to MicroKernelEdge).
+struct GemmKernels {
+  int64_t nr;
+  TileFn tile;
+  TileFn tile8;
+};
+
+constexpr GemmKernels kGemmKernels[] = {
+    {8, &MicroKernel8, nullptr},
+#if defined(__x86_64__) || defined(__i386__)
+    {16, &MicroKernel16Avx2, &MicroKernel8Avx2},
+#endif
+};
+
+const GemmKernels& ActiveGemmKernels() {
+  return kGemmKernels[static_cast<int>(ActiveKernelIsa())];
 }
 
 // Ragged edge tile: same arithmetic, runtime bounds.
@@ -289,7 +339,8 @@ void SmallGemmTransposedB(const float* a, const float* b, float* c, int64_t n,
 void BlockedGemm(const float* a, const float* b, float* c, int64_t n,
                  int64_t k, int64_t m, bool b_transposed) {
   const int64_t ldb = b_transposed ? k : m;
-  const int64_t nr_tile = NrTile();
+  const GemmKernels& kernels = ActiveGemmKernels();
+  const int64_t nr_tile = kernels.nr;
   // Fixed-size pack scratch, allocated once per worker thread and reused by
   // every GEMM it runs: after warm-up the hot path touches no heap, which
   // the tape-free inference forward relies on (zero allocations per serve
@@ -314,11 +365,9 @@ void BlockedGemm(const float* a, const float* b, float* c, int64_t n,
             const float* bp = bpack.get() + j0 * kc;
             float* ct = c + (ic + i0) * m + jc + j0;
             if (mr == kMr && nr == nr_tile) {
-              if (nr_tile == 16) {
-                MicroKernel16(ap, bp, ct, m, kc);
-              } else {
-                MicroKernel8(ap, bp, ct, m, kc);
-              }
+              kernels.tile(ap, bp, ct, m, kc);
+            } else if (mr == kMr && nr == 8 && kernels.tile8 != nullptr) {
+              kernels.tile8(ap, bp, ct, m, kc);
             } else {
               MicroKernelEdge(ap, bp, ct, m, kc, mr, nr, nr_tile);
             }
@@ -820,9 +869,18 @@ void GemmBiasActInto(const float* a, const float* b, const float* bias,
   const int64_t grain = PlanGrain(
       n, {(2.0 + act_flops) * static_cast<double>(m),
           12.0 * static_cast<double>(m)});
+  // The common Linear epilogue, bias only: x * 1.0f == x for every value
+  // a GEMM or a bias add produces (none is a signalling NaN), so a plain
+  // add is the same bits, and it vectorises.
+  const bool bias_only = act == Activation::kNone && post_scale == 1.0f;
+  if (bias_only && bias == nullptr) return;
   ParallelForRange(0, n, grain, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       float* row = c + i * m;
+      if (bias_only) {
+        for (int64_t j = 0; j < m; ++j) row[j] += bias[j];
+        continue;
+      }
       for (int64_t j = 0; j < m; ++j) {
         row[j] = ApplyEpilogue(row[j], bias, j, act, post_scale);
       }

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,9 +22,12 @@
 #include "nn/fused_attention.h"
 #include "nn/multi_head_self_attention.h"
 #include "nn/serialize.h"
+#include "tensor/kernel_dispatch.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
 #include "utils/check.h"
+#include "utils/cost_model.h"
+#include "utils/parallel.h"
 
 namespace hire {
 namespace nn {
@@ -502,6 +508,150 @@ TEST(FusedAttentionTest, QueryPrefixMatchesGenericKernelAndFullRows) {
         EXPECT_EQ(pruned.at(b, i, c), full.at(b, i, c))
             << "(" << b << ", " << i << ", " << c << ")";
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel dispatch (tensor/kernel_dispatch.h): the AVX2 attention lanes must
+// give the portable kernel's bits in every layout.
+// ---------------------------------------------------------------------------
+
+// True when a and b hold the same bits, or are both NaN. NaN payloads are
+// not compared: x86 keeps the first operand's payload, and which operand of
+// a commutative add comes first is the compiler's choice.
+bool SameBitsOrBothNan(float a, float b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  uint32_t bits_a = 0;
+  uint32_t bits_b = 0;
+  std::memcpy(&bits_a, &a, sizeof(bits_a));
+  std::memcpy(&bits_b, &b, sizeof(bits_b));
+  return bits_a == bits_b;
+}
+
+// FusedAttentionCore into an output buffer that starts as NaN, like stale
+// arena memory.
+std::vector<float> AttentionCore(int64_t heads, int64_t head_dim,
+                                 const std::vector<float>& qkv, int64_t batch,
+                                 int64_t tokens, int64_t queries) {
+  std::vector<float> merged(
+      static_cast<size_t>(batch * queries * heads * head_dim),
+      std::numeric_limits<float>::quiet_NaN());
+  FusedAttentionCore(heads, head_dim, qkv.data(), batch, tokens, queries,
+                     merged.data());
+  return merged;
+}
+
+class AttentionDispatchTest : public ::testing::Test {
+ protected:
+  AttentionDispatchTest() { SetCostModelForcedParallelForTesting(true); }
+  ~AttentionDispatchTest() override {
+    SetCostModelForcedParallelForTesting(false);
+    SetGlobalThreads(0);
+  }
+};
+
+TEST_F(AttentionDispatchTest, Avx2LanesMatchPortableBitwise) {
+  if (HostKernelIsa() != KernelIsa::kAvx2) {
+    GTEST_SKIP() << "no AVX2 on this host: both sides are the portable kernel";
+  }
+  Rng rng(95);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // (heads, head_dim): 4 x 2 and 8 x 2 take the (query, head) pair lanes
+  // (MBA); 4 x 8 and 2 x 16 the query lanes (MBU/MBI); 2 x 4 the portable
+  // kernel on both sides.
+  const std::vector<std::pair<int64_t, int64_t>> layouts = {
+      {4, 2}, {8, 2}, {4, 8}, {2, 16}, {2, 4}};
+  const int64_t batch = 3;
+  for (const auto& [heads, head_dim] : layouts) {
+    const int64_t inner = heads * head_dim;
+    // 1 token; an odd count (the last MBA pair holds one query); 16; 17
+    // (query groups of 8 plus a remainder).
+    for (const int64_t tokens : {1, 9, 16, 17}) {
+      for (const bool specials : {false, true}) {
+        std::vector<float> qkv(static_cast<size_t>(batch * tokens * 3 * inner));
+        for (float& value : qkv) {
+          value = static_cast<float>(rng.Uniform(-3.0, 3.0));
+        }
+        if (specials) {
+          // Scores of +inf, -inf and NaN (through Q and K), an infinite
+          // value row, and a query whose every score is NaN.
+          auto at = [&](int64_t b, int64_t t, int64_t col) -> float& {
+            return qkv[static_cast<size_t>((b * tokens + t) * 3 * inner + col)];
+          };
+          at(0, 0, inner) = inf;                   // K, token 0, head 0
+          at(1, tokens - 1, 2 * inner - 1) = -inf; // K, last token, last head
+          at(2, tokens / 2, inner + head_dim) = nan;
+          at(0, tokens - 1, 2 * inner) = inf;      // V
+          at(1, 0, 0) = nan;                       // Q of query 0
+          at(2, 0, inner - 1) = -inf;
+        }
+        for (const int64_t queries : {int64_t{1}, int64_t{7}, int64_t{8},
+                                      int64_t{9}, tokens}) {
+          if (queries > tokens) continue;
+          std::vector<float> portable;
+          {
+            ScopedPortableKernels force;
+            SetGlobalThreads(1);
+            portable =
+                AttentionCore(heads, head_dim, qkv, batch, tokens, queries);
+          }
+          for (const int threads : {1, 4}) {
+            SetGlobalThreads(threads);
+            const std::vector<float> dispatched =
+                AttentionCore(heads, head_dim, qkv, batch, tokens, queries);
+            for (size_t i = 0; i < portable.size(); ++i) {
+              ASSERT_TRUE(SameBitsOrBothNan(dispatched[i], portable[i]))
+                  << heads << "x" << head_dim << " tokens=" << tokens
+                  << " queries=" << queries << " specials=" << specials
+                  << " threads=" << threads << " index " << i << ": "
+                  << dispatched[i] << " vs " << portable[i];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(AttentionDispatchTest, Avx2ForwardMatchesPortableBitwise) {
+  // The whole fused layer (QKV GEMM, attention, output GEMM) at the MBA and
+  // MBU shapes of the benchmark model, with trained-looking weights.
+  if (HostKernelIsa() != KernelIsa::kAvx2) {
+    GTEST_SKIP() << "no AVX2 on this host: both sides are the portable kernels";
+  }
+  Rng rng(96);
+  struct Shape {
+    int64_t embed, heads, head_dim, batch, tokens, queries;
+  };
+  for (const Shape& shape : {Shape{8, 4, 2, 256, 9, 9},
+                             Shape{32, 4, 8, 16, 16, 16},
+                             Shape{32, 4, 8, 16, 16, 1}}) {
+    MhsaConfig config;
+    config.embed_dim = shape.embed;
+    config.num_heads = shape.heads;
+    config.head_dim = shape.head_dim;
+    MultiHeadSelfAttention mhsa(config, &rng);
+    const FusedAttentionWeights w = PackAttentionWeights(mhsa);
+    Tensor x = RandomNormal({shape.batch, shape.tokens, shape.embed}, 0, 1,
+                            &rng);
+    std::vector<float> scratch(
+        static_cast<size_t>(w.ScratchFloats(shape.batch, shape.tokens)),
+        std::numeric_limits<float>::quiet_NaN());
+    Tensor portable({shape.batch, shape.queries, shape.embed});
+    {
+      ScopedPortableKernels force;
+      FusedAttentionForward(w, x.data(), shape.batch, shape.tokens,
+                            shape.queries, portable.data(), scratch.data());
+    }
+    Tensor dispatched({shape.batch, shape.queries, shape.embed});
+    FusedAttentionForward(w, x.data(), shape.batch, shape.tokens,
+                          shape.queries, dispatched.data(), scratch.data());
+    for (int64_t i = 0; i < portable.size(); ++i) {
+      ASSERT_TRUE(SameBitsOrBothNan(dispatched.flat(i), portable.flat(i)))
+          << shape.heads << "x" << shape.head_dim << " index " << i;
+      ASSERT_FALSE(std::isnan(portable.flat(i))) << "index " << i;
     }
   }
 }

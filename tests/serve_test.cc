@@ -29,6 +29,7 @@
 #include "graph/bipartite_graph.h"
 #include "graph/context_builder.h"
 #include "nn/serialize.h"
+#include "tensor/kernel_dispatch.h"
 #include "tensor/random.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -986,6 +987,104 @@ TEST(HttpClientTest, TimeoutIsDistinctFromConnectionRefused) {
   http.Stop();
 }
 
+TEST(HttpClientTest, RequestAnsweredTwiceIsAFramingErrorAndDropsTheConnection) {
+  // A raw-socket server whose first connection answers its one request
+  // twice: in one write (the duplicate sits past Content-Length in the
+  // client's read) or in two (the duplicate waits on the idle keep-alive
+  // connection). Its second connection answers once, normally.
+  for (const bool one_write : {true, false}) {
+    SCOPED_TRACE(one_write ? "one write" : "two writes");
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listener, 4), 0);
+    socklen_t addr_len = sizeof(addr);
+    ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                            &addr_len),
+              0);
+    const int port = ntohs(addr.sin_port);
+
+    auto reply = [](const std::string& body) {
+      return "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+             "Content-Length: " +
+             std::to_string(body.size()) + "\r\n\r\n" + body;
+    };
+    auto send_all = [](int fd, const std::string& bytes) {
+      return ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+             static_cast<ssize_t>(bytes.size());
+    };
+    std::promise<void> duplicate_sent;
+    std::thread server([&] {
+      for (int connection = 0; connection < 2; ++connection) {
+        const int fd = ::accept(listener, nullptr, nullptr);
+        if (fd < 0) return;
+        std::string head;
+        char chunk[1024];
+        while (head.find("\r\n\r\n") == std::string::npos) {
+          const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+          if (n <= 0) break;
+          head.append(chunk, static_cast<size_t>(n));
+        }
+        if (connection == 0) {
+          const std::string first = reply("{\"reply\":1}");
+          if (one_write) {
+            send_all(fd, first + first);
+          } else {
+            send_all(fd, first);
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            send_all(fd, first);
+          }
+          duplicate_sent.set_value();
+        } else {
+          send_all(fd, reply("{\"reply\":2}"));
+        }
+        // Hold the connection until the client drops it.
+        while (::recv(fd, chunk, sizeof(chunk), 0) > 0) {
+        }
+        ::close(fd);
+      }
+    });
+
+    auto client = std::make_unique<HttpClient>(port, "127.0.0.1",
+                                               /*timeout_ms=*/5000);
+    if (one_write) {
+      const HttpClient::Result first = client->Get("/a");
+      EXPECT_FALSE(first.ok);
+      EXPECT_TRUE(first.framing_error) << first.error;
+      EXPECT_FALSE(first.timed_out);
+      EXPECT_EQ(first.error.rfind("framing error:", 0), 0u) << first.error;
+    } else {
+      const HttpClient::Result first = client->Get("/a");
+      EXPECT_TRUE(first.ok) << first.error;
+      EXPECT_EQ(first.body, "{\"reply\":1}");
+      duplicate_sent.get_future().wait();
+      // Loopback delivery of the duplicate into the client's socket.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      const HttpClient::Result second = client->Get("/b");
+      EXPECT_FALSE(second.ok);
+      EXPECT_TRUE(second.framing_error) << second.error;
+      EXPECT_EQ(second.error.rfind("framing error:", 0), 0u) << second.error;
+      EXPECT_NE(second.body, "{\"reply\":1}");
+    }
+    // The misframed connection was dropped: the next request goes out on a
+    // fresh one and gets its own reply.
+    const HttpClient::Result next = client->Get("/c");
+    EXPECT_TRUE(next.ok) << next.error;
+    EXPECT_EQ(next.body, "{\"reply\":2}");
+    client.reset();  // closes the connection the server thread holds
+    ::shutdown(listener, SHUT_RDWR);  // unblocks an accept nobody will meet
+    server.join();
+    ::close(listener);
+  }
+}
+
 TEST(HttpEventLoopTest, ThrowingHandlerAnswers500AndTheLoopKeepsServing) {
   HttpRoutes routes = PingRoute();
   routes[{"GET", "/boom"}] = [](const HttpRequest&, HttpDone) {
@@ -1495,6 +1594,10 @@ TEST(ObservabilityTest, MetricsEndpointsExposeJsonAndPrometheus) {
   EXPECT_GT(ts_ms, 1e12) << "ts_unix_ms must be a unix epoch in ms";
   EXPECT_TRUE(obs::FindJsonNumberField(json.body, "uptime_seconds", &uptime));
   EXPECT_GE(uptime, 0.0);
+  double kernel_isa = -1.0;
+  EXPECT_TRUE(
+      obs::FindJsonNumberField(json.body, "serve.kernel_isa", &kernel_isa));
+  EXPECT_EQ(kernel_isa, static_cast<double>(ActiveKernelIsa()));
 
   // Prometheus view, via both the query string and the path alias.
   for (const char* path : {"/metrics?format=prometheus",
@@ -1516,6 +1619,8 @@ TEST(ObservabilityTest, MetricsEndpointsExposeJsonAndPrometheus) {
     EXPECT_NE(prom.body.find("serve_uptime_seconds "), std::string::npos)
         << path;
     EXPECT_NE(prom.body.find("serve_model_version "), std::string::npos)
+        << path;
+    EXPECT_NE(prom.body.find("serve_kernel_isa "), std::string::npos)
         << path;
   }
   server.Stop();

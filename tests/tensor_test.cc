@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
 
+#include "tensor/kernel_dispatch.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
 #include "utils/check.h"
@@ -468,6 +471,63 @@ TEST_F(ParallelKernelsTest, SumAxis0TiledPathBitwiseStable) {
   for (const int threads : {2, 4, 7}) {
     SetGlobalThreads(threads);
     ExpectBitwiseEqual(ops::Sum(x, 0), serial);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel dispatch (tensor/kernel_dispatch.h): the AVX2 GEMM tiles must give
+// the portable tiles' bits. Each shape is chosen for the tile it reaches in
+// the blocked path (n * k * m >= 2^15): N a multiple of 16 runs the 4 x 16
+// tile, an 8-wide remainder (N = 8, 24, 72) the 4 x 8 tile, other
+// remainders and n % 4 != 0 the ragged edge tile; k > 256 spans two depth
+// blocks.
+// ---------------------------------------------------------------------------
+
+// Same bits, element by element (NaNs included, unlike ASSERT_EQ).
+void ExpectSameBits(const Tensor& a, const Tensor& b) {
+  ASSERT_TRUE(a.SameShape(b)) << a.ShapeString() << " vs " << b.ShapeString();
+  for (int64_t i = 0; i < a.size(); ++i) {
+    uint32_t bits_a = 0;
+    uint32_t bits_b = 0;
+    std::memcpy(&bits_a, a.data() + i, sizeof(bits_a));
+    std::memcpy(&bits_b, b.data() + i, sizeof(bits_b));
+    ASSERT_EQ(bits_a, bits_b) << "flat index " << i << ": " << a.flat(i)
+                              << " vs " << b.flat(i);
+  }
+}
+
+const std::vector<std::tuple<int, int, int>> kDispatchGemmShapes = {
+    {64, 64, 16},  {64, 64, 32},  {64, 64, 8},   {67, 70, 24},
+    {64, 300, 72}, {2304, 8, 24}, {2304, 8, 8},  {256, 32, 72},
+    {65, 64, 13},  {129, 33, 21}, {66, 61, 40},  {63, 128, 9}};
+
+TEST_F(ParallelKernelsTest, Avx2GemmTilesMatchPortableBitwise) {
+  if (HostKernelIsa() != KernelIsa::kAvx2) {
+    GTEST_SKIP() << "no AVX2 on this host: both sides are the portable tiles";
+  }
+  Rng rng(16);
+  for (const auto& [n, k, m] : kDispatchGemmShapes) {
+    Tensor a = RandomNormal({n, k}, 0, 1, &rng);
+    Tensor b = RandomNormal({k, m}, 0, 1, &rng);
+    Tensor bt = RandomNormal({m, k}, 0, 1, &rng);
+    // Non-finite inputs take the same path through every tile.
+    a.at(n - 1, 0) = std::numeric_limits<float>::infinity();
+    b.at(k - 1, m - 1) = -std::numeric_limits<float>::infinity();
+    SetGlobalThreads(1);
+    Tensor portable, portable_t;
+    {
+      ScopedPortableKernels force;
+      EXPECT_EQ(ActiveKernelIsa(), KernelIsa::kPortable);
+      portable = ops::MatMul(a, b);
+      portable_t = ops::MatMulTransposedB(a, bt);
+    }
+    EXPECT_EQ(ActiveKernelIsa(), KernelIsa::kAvx2);
+    ExpectSameBits(portable, NaiveMatMul(a, b));
+    for (const int threads : {1, 4}) {
+      SetGlobalThreads(threads);
+      ExpectSameBits(ops::MatMul(a, b), portable);
+      ExpectSameBits(ops::MatMulTransposedB(a, bt), portable_t);
+    }
   }
 }
 
