@@ -299,6 +299,9 @@ struct BenchFixtures {
 
   Tensor gemm_a, gemm_b, gemm_bias, gemm_c;
   Tensor attn_q, attn_k, attn_v, attn_out;
+  // attn_q/k/v interleaved per token as FusedAttentionCore reads them:
+  // [128, 16, 48] with Q columns, then K, then V.
+  Tensor attn_qkv;
   // Fused attention cores at the hirebench model's shapes: MBA attends over
   // 256 cells x 9 attribute tokens with 4 heads x 2, MBU over 16 items x 16
   // user tokens with 4 heads x 8. QKV buffers [batch, tokens, 3 * inner].
@@ -330,6 +333,13 @@ struct BenchFixtures {
         mbu_out({16, 16, 32}) {
     model.SetTraining(false);
     mhsa.SetTraining(false);
+    attn_qkv = Tensor({128, 16, 48});
+    for (int64_t row = 0; row < 128 * 16; ++row) {
+      float* dst = attn_qkv.data() + row * 48;
+      std::copy_n(attn_q.data() + row * 16, 16, dst);
+      std::copy_n(attn_k.data() + row * 16, 16, dst + 16);
+      std::copy_n(attn_v.data() + row * 16, 16, dst + 32);
+    }
   }
 };
 
@@ -372,12 +382,9 @@ std::vector<BenchCase> BuildCases(BenchFixtures* fx) {
              ops::BatchedMatMul(ops::Softmax(scores), fx->attn_v));
        },
        [fx] {
-         for (int64_t s = 0; s < 128; ++s) {
-           ops::OnlineSoftmaxWeightedSumInto(
-               fx->attn_q.data() + s * 256, 16, fx->attn_k.data() + s * 256,
-               16, fx->attn_v.data() + s * 256, 16,
-               fx->attn_out.data() + s * 256, 16, 16, 16, 16, 0.25f);
-         }
+         // One head of dim 16, the fused path serving takes at that dim.
+         nn::FusedAttentionCore(1, 16, fx->attn_qkv.data(), 128, 16, 16,
+                                fx->attn_out.data());
          benchmark::DoNotOptimize(fx->attn_out.data());
        }});
 

@@ -558,20 +558,10 @@ std::vector<MicroBatcher::PendingRequest> MicroBatcher::CollectBatch(
   std::vector<PendingRequest> batch;
   std::unordered_set<int64_t> users{first.user};
   batch.push_back(std::move(first));
-  if (config_.batch_window_us <= 0) return batch;
-
-  // The window is anchored at dequeue, not enqueue: when the worker lags
-  // arrivals (many shard workers contending for few cores), an
-  // enqueue-anchored deadline has already passed by the time the batch
-  // opens, silently collapsing coalescing to singleton forwards. When the
-  // worker is idle the two anchors coincide, so unloaded latency is
-  // unchanged.
-  const auto deadline =
-      batch.front().dequeue_time +
-      std::chrono::microseconds(config_.batch_window_us);
+  // Work-conserving: drain what is already queued, never wait for more.
   while (static_cast<int64_t>(users.size()) < config_.max_batch_users) {
-    std::optional<PendingRequest> next = queue_.PopUntil(deadline);
-    if (!next.has_value()) break;  // window closed (or batcher stopping)
+    std::optional<PendingRequest> next = queue_.TryPop();
+    if (!next.has_value()) break;
     next->dequeue_time = std::chrono::steady_clock::now();
     users.insert(next->user);
     batch.push_back(std::move(*next));
@@ -587,6 +577,7 @@ void MicroBatcher::ProcessBatch(std::vector<PendingRequest> batch) {
     const auto collected = std::chrono::steady_clock::now();
     for (PendingRequest& request : batch) request.collected_time = collected;
   }
+  FaultInjector::Global().MaybeParkServeWorker();
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetGauge("serve.queue_depth")
       ->Set(static_cast<double>(queue_.size()));

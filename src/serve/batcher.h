@@ -57,7 +57,7 @@ struct VersionedGraph {
 enum class RequestStage : int {
   kAdmission = 0,  // transport parse/validate + Submit bookkeeping
   kQueue,          // admitted -> dequeued by the batch worker
-  kBatchForm,      // dequeued -> batch closed (co-batching window)
+  kBatchForm,      // dequeued -> batch closed (grouping only, no wait)
   kForward,        // context assembly + shared model forward
   kSerialize,      // response JSON rendering (transport)
   kWrite,          // socket write of the rendered response (transport)
@@ -141,12 +141,9 @@ void RecordStageBreakdown(RequestOutcome outcome,
 void EnsureServeStageMetrics();
 
 struct BatcherConfig {
-  /// How long the worker keeps the batch open after the first request
-  /// arrives, waiting for co-batchable requests. 0 = no coalescing: every
-  /// request gets its own context and forward.
-  int64_t batch_window_us = 2000;
   /// Max distinct users coalesced into one shared context (bounded by the
-  /// context row budget).
+  /// context row budget). 1 = no co-batching: every user gets its own
+  /// context and forward.
   int64_t max_batch_users = 8;
   /// Prediction-context dimensions (rows x columns).
   int64_t context_users = 16;
@@ -190,13 +187,16 @@ struct BatcherConfig {
   std::string metric_prefix;
 };
 
-/// Dynamic micro-batcher: a bounded MPMC queue feeding one inference worker
-/// that coalesces requests arriving within the batch window into shared
-/// prediction contexts. k users sharing a context cost one HIM forward
-/// instead of k — the HIRE all-in-one property that makes serving
-/// batchable. A single worker drives the published model snapshot, so
-/// forwards never race while hot-swap (InferenceEngine::Load) proceeds
-/// concurrently.
+/// Work-conserving micro-batcher: a bounded MPMC queue feeding one inference
+/// worker. A worker that becomes free takes whatever is queued, up to
+/// max_batch_users distinct users, and runs it at once; requests that arrive
+/// during a forward form the next batch. It never waits for peers, so a
+/// lone request on an idle server pays no batching delay, while under load
+/// the queue that builds up behind a forward is what gets co-batched. k
+/// users sharing a context cost one HIM forward instead of k — the HIRE
+/// all-in-one property that makes serving batchable. A single worker drives
+/// the published model snapshot, so forwards never race while hot-swap
+/// (InferenceEngine::Load) proceeds concurrently.
 class MicroBatcher {
  public:
   /// `graph_provider` returns the current graph generation (called once per

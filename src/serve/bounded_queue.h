@@ -1,7 +1,6 @@
 #ifndef HIRE_SERVE_BOUNDED_QUEUE_H_
 #define HIRE_SERVE_BOUNDED_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -43,19 +42,6 @@ class BoundedQueue {
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mutex_);
     readable_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-    return PopLocked();
-  }
-
-  /// Like Pop but gives up at `deadline`; nullopt on timeout as well. This
-  /// is what implements the batching window: the worker keeps popping until
-  /// the window closes or the batch is full.
-  std::optional<T> PopUntil(std::chrono::steady_clock::time_point deadline) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!readable_.wait_until(lock, deadline, [this] {
-          return closed_ || !queue_.empty();
-        })) {
-      return std::nullopt;
-    }
     return PopLocked();
   }
 

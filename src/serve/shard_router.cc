@@ -90,16 +90,6 @@ ShardRouter::ShardRouter(const data::Dataset* dataset,
     BatcherConfig batcher_config = config.batcher;
     batcher_config.shard_index = i;
     batcher_config.metric_prefix = prefix;
-    // Hold the expected arrivals-per-window product invariant under
-    // sharding: each shard sees ~1/N of the traffic, so an unscaled window
-    // would collect ~1/N of the co-batchable requests and fragment batch
-    // occupancy — at equal offered load an N-shard fleet would run up to N×
-    // the forwards of a single shard. Scaling by N keeps the co-batching
-    // (and forward amortization) a single shard enjoys; the latency floor
-    // a sparse shard pays rises accordingly, which the open-loop sweep
-    // makes visible per step.
-    batcher_config.batch_window_us =
-        config.batcher.batch_window_us * config.num_shards;
     EngineShard* raw = shard.get();
     shard->batcher = std::make_unique<MicroBatcher>(
         batcher_config, shard->engine.get(), shard->cache.get(), &sampler_,

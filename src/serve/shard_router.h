@@ -55,10 +55,7 @@ struct RollingReloadResult {
 struct ShardRouterConfig {
   int num_shards = 1;
   size_t cache_capacity = 1024;  // total across shards, split evenly
-  /// Per-shard template: shard index and metric prefix are stamped, and
-  /// batch_window_us is scaled by num_shards so the expected
-  /// arrivals-per-window product (co-batch occupancy) is invariant under
-  /// sharding — each shard only sees ~1/N of the traffic.
+  /// Per-shard template: shard index and metric prefix are stamped.
   BatcherConfig batcher;
 };
 

@@ -28,6 +28,7 @@ void FaultInjector::Reset() {
   serve_reset_counter_.store(0);
   serve_stall_client_ms_ = 0;
   serve_fail_forward_.store(0);
+  ReleaseServeWorker();
 }
 
 void FaultInjector::LoadFromEnv() {
@@ -104,6 +105,35 @@ void FaultInjector::ArmServeStallClient(int64_t ms) {
 
 void FaultInjector::ArmServeFailForward(int64_t count) {
   serve_fail_forward_.store(count);
+}
+
+void FaultInjector::ParkServeWorker() {
+  std::lock_guard<std::mutex> lock(serve_park_mutex_);
+  serve_park_armed_.store(true);
+}
+
+void FaultInjector::ReleaseServeWorker() {
+  {
+    std::lock_guard<std::mutex> lock(serve_park_mutex_);
+    serve_park_armed_.store(false);
+  }
+  serve_park_changed_.notify_all();
+}
+
+bool FaultInjector::AwaitServeWorkerParked(std::chrono::milliseconds timeout) {
+  std::unique_lock<std::mutex> lock(serve_park_mutex_);
+  return serve_park_changed_.wait_for(
+      lock, timeout, [this] { return serve_parked_workers_ > 0; });
+}
+
+void FaultInjector::MaybeParkServeWorker() {
+  if (!serve_park_armed_.load(std::memory_order_relaxed)) return;
+  std::unique_lock<std::mutex> lock(serve_park_mutex_);
+  if (!serve_park_armed_.load()) return;
+  ++serve_parked_workers_;
+  serve_park_changed_.notify_all();
+  serve_park_changed_.wait(lock, [this] { return !serve_park_armed_.load(); });
+  --serve_parked_workers_;
 }
 
 void FaultInjector::MaybeCorruptServeReload(const std::string& path) {

@@ -2,7 +2,10 @@
 #define HIRE_UTILS_FAULT_INJECTION_H_
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <string>
 
@@ -55,6 +58,9 @@ namespace hire {
 ///   HIRE_FAULT_SERVE_FAIL_FORWARD=k   make the next k batch forwards throw
 ///                                     (repeated batch failures; trips the
 ///                                     serve circuit breaker)
+///
+/// The batch-worker park (ParkServeWorker / ReleaseServeWorker) has no
+/// environment variable: only an in-process caller can release it.
 class FaultInjector {
  public:
   /// Singleton; arms faults from the environment on first use.
@@ -76,6 +82,21 @@ class FaultInjector {
   void ArmServeResetEvery(int64_t every);
   void ArmServeStallClient(int64_t ms);
   void ArmServeFailForward(int64_t count);
+
+  /// Parks the serve batch workers: from now on, a worker that has closed a
+  /// batch blocks before its forward until ReleaseServeWorker(). Requests
+  /// submitted meanwhile queue up and form the worker's next batch, which
+  /// makes co-batching and overload deterministic to test.
+  void ParkServeWorker();
+  /// Disarms the park and wakes every parked worker. Reset() releases too.
+  void ReleaseServeWorker();
+  /// Blocks until at least one batch worker is parked or `timeout` passes;
+  /// returns whether one is parked.
+  bool AwaitServeWorkerParked(std::chrono::milliseconds timeout);
+
+  /// Batch-worker hook between closing a batch and running it: blocks while
+  /// the park is armed. One relaxed load when disarmed.
+  void MaybeParkServeWorker();
 
   /// Kills the process (SIGKILL) if a crash is armed for `step`.
   void MaybeCrash(int64_t step);
@@ -134,6 +155,10 @@ class FaultInjector {
   std::atomic<int64_t> serve_reset_counter_{0};
   int64_t serve_stall_client_ms_ = 0;
   std::atomic<int64_t> serve_fail_forward_{0};
+  std::atomic<bool> serve_park_armed_{false};
+  std::mutex serve_park_mutex_;
+  std::condition_variable serve_park_changed_;
+  int64_t serve_parked_workers_ = 0;  // guarded by serve_park_mutex_
 };
 
 /// Truncates the file at `path` to its first `keep_bytes` bytes.

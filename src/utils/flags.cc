@@ -27,44 +27,46 @@ Flags Flags::Parse(int argc, const char* const* argv) {
   return flags;
 }
 
+const std::string* Flags::Find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 bool Flags::Has(const std::string& name) const {
-  return values_.count(name) > 0;
+  return Find(name) != nullptr;
 }
 
 std::string Flags::GetString(const std::string& name,
                              const std::string& fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* value = Find(name);
+  return value == nullptr ? fallback : *value;
 }
 
 int64_t Flags::GetInt(const std::string& name, int64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return ParseInt64(it->second);
+  const std::string* value = Find(name);
+  return value == nullptr ? fallback : ParseInt64(*value);
 }
 
 double Flags::GetDouble(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return ParseDouble(it->second);
+  const std::string* value = Find(name);
+  return value == nullptr ? fallback : ParseDouble(*value);
 }
 
 bool Flags::GetBool(const std::string& name, bool fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  if (it->second.empty() || it->second == "true" || it->second == "1") {
-    return true;
-  }
-  if (it->second == "false" || it->second == "0") return false;
-  HIRE_CHECK(false) << "bad boolean for --" << name << ": '" << it->second
-                    << "'";
+  const std::string* value = Find(name);
+  if (value == nullptr) return fallback;
+  if (value->empty() || *value == "true" || *value == "1") return true;
+  if (*value == "false" || *value == "0") return false;
+  HIRE_CHECK(false) << "bad boolean for --" << name << ": '" << *value << "'";
   return fallback;
 }
 
-std::vector<std::string> Flags::FlagNames() const {
+std::vector<std::string> Flags::UnreadNames() const {
   std::vector<std::string> names;
-  names.reserve(values_.size());
-  for (const auto& [name, value] : values_) names.push_back(name);
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) names.push_back(name);
+  }
   return names;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,8 @@ class Flags {
   /// flag at the end with no value).
   static Flags Parse(int argc, const char* const* argv);
 
-  /// True when --name was present (with or without a value).
+  /// True when --name was present (with or without a value). Has and the
+  /// getters below mark `name` as read.
   bool Has(const std::string& name) const;
 
   /// Typed getters with defaults. Throw hire::CheckError when the value is
@@ -30,11 +32,16 @@ class Flags {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Names of all flags that were set (for unknown-flag diagnostics).
-  std::vector<std::string> FlagNames() const;
+  /// Names of the flags that were set but never read through Has or a
+  /// getter, in sorted order: typos, or flags the command does not know.
+  std::vector<std::string> UnreadNames() const;
 
  private:
+  /// Looks `name` up and marks it read; nullptr when it was not set.
+  const std::string* Find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
 };
 

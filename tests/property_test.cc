@@ -274,13 +274,14 @@ TEST(FlagsTest, BooleanValues) {
   EXPECT_THROW(bad_flags.GetBool("e", false), CheckError);
 }
 
-TEST(FlagsTest, FlagNamesAndHas) {
+TEST(FlagsTest, HasReportsPresenceAndCountsAsARead) {
   const char* argv[] = {"prog", "--one=1", "--two"};
   const Flags flags = Flags::Parse(3, argv);
+  EXPECT_EQ(flags.UnreadNames().size(), 2u);
   EXPECT_TRUE(flags.Has("one"));
   EXPECT_TRUE(flags.Has("two"));
   EXPECT_FALSE(flags.Has("three"));
-  EXPECT_EQ(flags.FlagNames().size(), 2u);
+  EXPECT_TRUE(flags.UnreadNames().empty());
 }
 
 }  // namespace

@@ -81,18 +81,39 @@ std::string WriteModelSnapshot(const data::Dataset& dataset, uint64_t seed,
 }
 
 ServeConfig SmallServeConfig(const std::string& model_path,
-                             int64_t batch_window_us = 2000) {
+                             int64_t max_batch_users = 4) {
   ServeConfig config;
   config.port = 0;  // ephemeral
   config.cache_capacity = 64;
   config.model_path = model_path;
-  config.batcher.batch_window_us = batch_window_us;
-  config.batcher.max_batch_users = 4;
+  config.batcher.max_batch_users = max_batch_users;
   config.batcher.context_users = 8;
   config.batcher.context_items = 8;
   config.batcher.seed = 11;
   config.batcher.queue_capacity = 128;
   return config;
+}
+
+/// Parks every batch worker for the scope (see
+/// FaultInjector::ParkServeWorker). Declare it after the server or batcher,
+/// so an early test exit releases the worker before Stop() joins it.
+class ScopedWorkerPark {
+ public:
+  ScopedWorkerPark() { FaultInjector::Global().ParkServeWorker(); }
+  ~ScopedWorkerPark() { Release(); }
+  void Release() { FaultInjector::Global().ReleaseServeWorker(); }
+};
+
+/// Submits a one-item request for `user` and waits until the batch worker
+/// has closed it into a batch and parked. Everything submitted afterwards
+/// queues up and forms the worker's next batch.
+template <typename Target>
+std::future<RatingResponse> SubmitWhileParking(Target& target, int64_t user) {
+  std::future<RatingResponse> parked = SubmitFuture(target, user, {1});
+  EXPECT_TRUE(FaultInjector::Global().AwaitServeWorkerParked(
+      std::chrono::seconds(30)))
+      << "the batch worker never reached its park point";
+  return parked;
 }
 
 // ---------------------------------------------------------------------------
@@ -133,14 +154,8 @@ TEST(BoundedQueueTest, CloseDrainsThenSignalsShutdown) {
   EXPECT_FALSE(queue.Pop().has_value()) << "drained+closed pops nullopt";
 }
 
-TEST(BoundedQueueTest, PopUntilTimesOutAndCloseWakesBlockedPop) {
+TEST(BoundedQueueTest, CloseWakesBlockedPop) {
   BoundedQueue<int> queue(4);
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(
-      queue.PopUntil(start + std::chrono::milliseconds(20)).has_value());
-  EXPECT_GE(std::chrono::steady_clock::now() - start,
-            std::chrono::milliseconds(20));
-
   std::thread closer([&queue] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     queue.Close();
@@ -264,7 +279,7 @@ TEST(MicroBatcherTest, OverloadResolvesTheFutureWithAnOverloadedError) {
   std::shared_future<void> released = release.get_future().share();
 
   BatcherConfig config;
-  config.batch_window_us = 0;
+  config.max_batch_users = 1;
   config.queue_capacity = 1;
   MicroBatcher batcher(config, &engine, &cache, &sampler,
                        [versioned, released] {
@@ -314,7 +329,7 @@ TEST(MicroBatcherTest, RequestsBornExpiredResolveWithDeadlineExceeded) {
   auto versioned =
       std::make_shared<const VersionedGraph>(std::move(graph), /*version=*/1);
   BatcherConfig config;
-  config.batch_window_us = 0;
+  config.max_batch_users = 1;
   MicroBatcher batcher(config, &engine, &cache, &sampler,
                        [versioned] { return versioned; });
   batcher.Start();
@@ -346,7 +361,7 @@ TEST(MicroBatcherTest, DeadlinesExpireWhileQueuedBehindASlowBatch) {
   std::shared_future<void> released = release.get_future().share();
   std::atomic<bool> parked_once{false};
   BatcherConfig config;
-  config.batch_window_us = 0;
+  config.max_batch_users = 1;
   MicroBatcher batcher(config, &engine, &cache, &sampler,
                        [versioned, released, &parked_once] {
                          if (!parked_once.exchange(true)) released.wait();
@@ -387,7 +402,7 @@ TEST(MicroBatcherTest, InflightCapShedsBeforeQueueing) {
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
   BatcherConfig config;
-  config.batch_window_us = 0;
+  config.max_batch_users = 1;
   config.max_inflight = 1;
   MicroBatcher batcher(config, &engine, &cache, &sampler,
                        [versioned, released] {
@@ -423,7 +438,7 @@ TEST(MicroBatcherTest, NoModelServesUserMeanFallbackAndRecoversOnLoad) {
       std::make_shared<const VersionedGraph>(std::move(graph), /*version=*/1);
 
   BatcherConfig config;
-  config.batch_window_us = 0;
+  config.max_batch_users = 1;
   MicroBatcher batcher(config, &engine, &cache, &sampler,
                        [versioned] { return versioned; });
   batcher.Start();
@@ -463,7 +478,7 @@ TEST(MicroBatcherTest, CircuitBreakerOpensOnRepeatedFailuresAndRecovers) {
       std::make_shared<const VersionedGraph>(std::move(graph), /*version=*/1);
 
   BatcherConfig config;
-  config.batch_window_us = 0;
+  config.max_batch_users = 1;
   config.breaker_threshold = 2;
   config.breaker_cooldown_ms = 60000;  // no half-open trial during the test
   MicroBatcher batcher(config, &engine, &cache, &sampler,
@@ -498,6 +513,94 @@ TEST(MicroBatcherTest, CircuitBreakerOpensOnRepeatedFailuresAndRecovers) {
   batcher.Stop();
 }
 
+TEST(MicroBatcherTest, RequestsQueuedWhileTheWorkerIsParkedShareOneForward) {
+  const data::Dataset dataset = SmallDataset(91);
+  const std::string model = WriteModelSnapshot(dataset, 92, "park.snap");
+  InferenceEngine engine(&dataset, SmallConfig());
+  engine.Load(model);
+  ContextCache cache(16);
+  graph::NeighborhoodSampler sampler;
+  graph::BipartiteGraph graph(dataset.num_users(), dataset.num_items(),
+                              dataset.ratings());
+  auto versioned =
+      std::make_shared<const VersionedGraph>(std::move(graph), /*version=*/1);
+  BatcherConfig config;
+  config.max_batch_users = 4;
+  config.context_users = 8;
+  config.context_items = 8;
+  MicroBatcher batcher(config, &engine, &cache, &sampler,
+                       [versioned] { return versioned; });
+  batcher.Start();
+  ScopedWorkerPark park;
+
+  // The parked request's callback runs on the worker after its forward and
+  // before the worker takes the next batch, so the snapshot it takes splits
+  // the two forwards exactly.
+  std::promise<obs::MetricsRegistry::Snapshot> between;
+  batcher.SubmitAsync(40, {1}, std::nullopt, [&between](RatingResponse r) {
+    EXPECT_TRUE(r.ok) << r.error;
+    between.set_value(obs::MetricsRegistry::Global().Take());
+  });
+  ASSERT_TRUE(FaultInjector::Global().AwaitServeWorkerParked(
+      std::chrono::seconds(30)));
+
+  // Five requests from four distinct users (user 1 asks twice).
+  std::vector<std::future<RatingResponse>> futures;
+  for (const int64_t user : {0, 1, 1, 2, 3}) {
+    futures.push_back(SubmitFuture(batcher, user, {1, 2}));
+  }
+  EXPECT_EQ(batcher.queue_depth(), 5u);
+  park.Release();
+  const obs::MetricsRegistry::Snapshot before = between.get_future().get();
+  for (auto& future : futures) {
+    const RatingResponse response = future.get();
+    ASSERT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(response.batch_users, 4);
+  }
+  const auto delta = obs::MetricsRegistry::Global().Take().Delta(before);
+  EXPECT_EQ(delta.counters.at("serve.batches"), 1u);
+  EXPECT_EQ(delta.counters.at("serve.batched_users"), 4u);
+  EXPECT_EQ(delta.counters.at("serve.requests"), 5u);
+  batcher.Stop();
+}
+
+TEST(MicroBatcherTest, LoneRequestOnAnIdleBatcherRunsWithoutWaiting) {
+  const data::Dataset dataset = SmallDataset(93);
+  const std::string model = WriteModelSnapshot(dataset, 94, "lone.snap");
+  InferenceEngine engine(&dataset, SmallConfig());
+  engine.Load(model);
+  ContextCache cache(16);
+  graph::NeighborhoodSampler sampler;
+  graph::BipartiteGraph graph(dataset.num_users(), dataset.num_items(),
+                              dataset.ratings());
+  auto versioned =
+      std::make_shared<const VersionedGraph>(std::move(graph), /*version=*/1);
+  MicroBatcher batcher(BatcherConfig{}, &engine, &cache, &sampler,
+                       [versioned] { return versioned; });
+  batcher.Start();
+
+  // Each request is alone in the queue when the worker takes it. With no
+  // peers to wait for, batch formation is a few queue operations, so even
+  // on a loaded machine its best case sits well below the forward's. A
+  // batching window would put every batch_form above the window instead.
+  double min_batch_form_us = 1e300;
+  double min_forward_us = 1e300;
+  for (int64_t user = 0; user < 8; ++user) {
+    const RatingResponse response = SubmitAndWait(batcher, user, {1, 2, 3});
+    ASSERT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(response.batch_users, 1);
+    const double batch_form = response.stages.at(RequestStage::kBatchForm);
+    const double forward = response.stages.at(RequestStage::kForward);
+    ASSERT_GE(batch_form, 0.0);
+    ASSERT_GT(forward, 0.0);
+    min_batch_form_us = std::min(min_batch_form_us, batch_form);
+    min_forward_us = std::min(min_forward_us, forward);
+  }
+  EXPECT_LT(min_batch_form_us, min_forward_us)
+      << "a lone request must not wait for co-batchable peers";
+  batcher.Stop();
+}
+
 TEST(MicroBatcherTest, OutcomeCountersPartitionAllTraffic) {
   const data::Dataset dataset = SmallDataset(81);
   const std::string model = WriteModelSnapshot(dataset, 82, "acct.snap");
@@ -510,7 +613,7 @@ TEST(MicroBatcherTest, OutcomeCountersPartitionAllTraffic) {
   auto versioned =
       std::make_shared<const VersionedGraph>(std::move(graph), /*version=*/1);
   BatcherConfig config;
-  config.batch_window_us = 0;
+  config.max_batch_users = 1;
   MicroBatcher batcher(config, &engine, &cache, &sampler,
                        [versioned] { return versioned; });
   batcher.Start();
@@ -582,7 +685,7 @@ TEST(InferenceEngineTest, PacksOncePerLoadNeverPerRequest) {
   engine.Load(model_b);  // hot-swap: second pack
 
   BatcherConfig config;
-  config.batch_window_us = 0;
+  config.max_batch_users = 1;
   config.context_users = 8;
   config.context_items = 8;
   MicroBatcher batcher(config, &engine, &cache, &sampler,
@@ -622,7 +725,7 @@ TEST(MicroBatcherTest, BatchRevalidatesIdsAgainstTheGraphItRunsOn) {
       std::make_shared<const VersionedGraph>(std::move(graph), /*version=*/1);
 
   BatcherConfig config;
-  config.batch_window_us = 0;
+  config.max_batch_users = 1;
   config.context_users = 8;
   config.context_items = 8;
   MicroBatcher batcher(config, &engine, &cache, &sampler,
@@ -700,27 +803,29 @@ TEST(RatingServerTest, ConcurrentRequestsCoalesceIntoSharedForwards) {
   const std::string model = WriteModelSnapshot(dataset, 55, "server_c.snap");
   graph::BipartiteGraph graph(dataset.num_users(), dataset.num_items(),
                               dataset.ratings());
-  // Long window so every concurrently submitted request lands in one batch.
   RatingServer server(&dataset, SmallConfig(), std::move(graph),
-                      SmallServeConfig(model, /*batch_window_us=*/200000));
+                      SmallServeConfig(model));
   server.Start();
+  ScopedWorkerPark park;
 
   const auto before = obs::MetricsRegistry::Global().Take();
+  std::future<RatingResponse> parked = SubmitWhileParking(server.router(), 10);
   std::vector<std::future<RatingResponse>> futures;
   for (int64_t user = 0; user < 4; ++user) {
     futures.push_back(SubmitFuture(server.router(), user, {1, 2}));
   }
-  int64_t max_batch_users = 0;
+  park.Release();
+  ASSERT_TRUE(parked.get().ok);
   for (auto& future : futures) {
     const RatingResponse response = future.get();
     ASSERT_TRUE(response.ok) << response.error;
-    max_batch_users = std::max(max_batch_users, response.batch_users);
+    EXPECT_EQ(response.batch_users, 4)
+        << "requests queued behind a busy worker must share its next forward";
   }
-  EXPECT_GT(max_batch_users, 1)
-      << "concurrent requests inside the window must share a forward";
   const auto delta = obs::MetricsRegistry::Global().Take().Delta(before);
-  EXPECT_EQ(delta.counters.at("serve.requests"), 4u);
-  EXPECT_LT(delta.counters.at("serve.batches"), 4u);
+  EXPECT_EQ(delta.counters.at("serve.requests"), 5u);
+  EXPECT_EQ(delta.counters.at("serve.batches"), 2u)
+      << "the parked request's forward plus one shared forward";
   server.Stop();
 }
 
@@ -732,14 +837,20 @@ TEST(RatingServerTest, CoBatchedUsersAllReadComputedRows) {
   graph::BipartiteGraph graph(dataset.num_users(), dataset.num_items(),
                               dataset.ratings());
   RatingServer server(&dataset, SmallConfig(), std::move(graph),
-                      SmallServeConfig(model, /*batch_window_us=*/200000));
+                      SmallServeConfig(model));
   server.Start();
+  ScopedWorkerPark park;
 
   const auto before = obs::MetricsRegistry::Global().Take();
+  std::future<RatingResponse> parked = SubmitWhileParking(server.router(), 20);
   std::vector<std::future<RatingResponse>> futures;
   for (const int64_t user : {9, 3, 6}) {
     futures.push_back(SubmitFuture(server.router(), user, {1, 2, 5}));
   }
+  park.Release();
+  const RatingResponse lone = parked.get();
+  ASSERT_TRUE(lone.ok) << lone.error;
+  EXPECT_EQ(lone.batch_users, 1);
   for (auto& future : futures) {
     const RatingResponse response = future.get();
     ASSERT_TRUE(response.ok) << response.error;
@@ -751,9 +862,9 @@ TEST(RatingServerTest, CoBatchedUsersAllReadComputedRows) {
     }
   }
   const auto delta = obs::MetricsRegistry::Global().Take().Delta(before);
-  EXPECT_EQ(delta.counters.at("serve.batches"), 1u);
-  EXPECT_EQ(delta.counters.at("serve.batched_users"), 3u)
-      << "the three users must share one forward";
+  EXPECT_EQ(delta.counters.at("serve.batches"), 2u);
+  EXPECT_EQ(delta.counters.at("serve.batched_users"), 1u + 3u)
+      << "the three users must share one forward after the parked one";
   server.Stop();
 }
 
@@ -1238,7 +1349,7 @@ TEST(HttpEndToEndTest, ShedRequestsGet503WithRetryAfter) {
   const std::string model = WriteModelSnapshot(dataset, 86, "http_d.snap");
   graph::BipartiteGraph graph(dataset.num_users(), dataset.num_items(),
                               dataset.ratings());
-  ServeConfig config = SmallServeConfig(model, /*batch_window_us=*/0);
+  ServeConfig config = SmallServeConfig(model, /*max_batch_users=*/1);
   config.batcher.max_inflight = 1;
   RatingServer server(&dataset, SmallConfig(), std::move(graph), config);
   server.Start();

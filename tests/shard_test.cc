@@ -60,12 +60,10 @@ graph::BipartiteGraph GraphOf(const data::Dataset& dataset) {
                                dataset.ratings());
 }
 
-ShardRouterConfig SmallRouterConfig(int num_shards,
-                                    int64_t batch_window_us = 500) {
+ShardRouterConfig SmallRouterConfig(int num_shards) {
   ShardRouterConfig config;
   config.num_shards = num_shards;
   config.cache_capacity = 64;
-  config.batcher.batch_window_us = batch_window_us;
   config.batcher.max_batch_users = 4;
   config.batcher.context_users = 8;
   config.batcher.context_items = 8;
@@ -80,7 +78,6 @@ ServeConfig SmallServeConfig(const std::string& model_path, int num_shards) {
   config.cache_capacity = 64;
   config.model_path = model_path;
   config.num_shards = num_shards;
-  config.batcher.batch_window_us = 500;
   config.batcher.max_batch_users = 4;
   config.batcher.context_users = 8;
   config.batcher.context_items = 8;

@@ -8,6 +8,7 @@
 
 #include "obs/stopwatch.h"
 #include "utils/check.h"
+#include "utils/flags.h"
 #include "utils/logging.h"
 #include "utils/string_utils.h"
 #include "utils/table_printer.h"
@@ -314,6 +315,28 @@ TEST(GlobalThreadsDeathTest, AbortsWhenRegionsInFlight) {
         });
       },
       "in flight");
+}
+
+TEST(FlagsTest, UnreadNamesListsSetFlagsNoGetterAsked) {
+  const char* argv[] = {"prog", "serve", "--port=0", "--retired-flag=2000",
+                        "--verbose", "--max-batch-users=4", "--typo=1"};
+  const Flags flags = Flags::Parse(7, argv);
+  EXPECT_EQ(flags.UnreadNames(),
+            (std::vector<std::string>{"max-batch-users", "port",
+                                      "retired-flag", "typo", "verbose"}));
+  EXPECT_EQ(flags.GetInt("port", 8080), 0);
+  EXPECT_EQ(flags.GetInt("max-batch-users", 8), 4);
+  EXPECT_TRUE(flags.GetBool("verbose", false));
+  // Asking for a flag that was never set marks nothing unread.
+  EXPECT_EQ(flags.GetString("model", "none"), "none");
+  EXPECT_EQ(flags.UnreadNames(),
+            (std::vector<std::string>{"retired-flag", "typo"}));
+  // A malformed value still counts as read: the error names it already.
+  const char* bad[] = {"prog", "--shards=two"};
+  const Flags bad_flags = Flags::Parse(2, bad);
+  EXPECT_THROW(bad_flags.GetInt("shards", 1), CheckError);
+  EXPECT_TRUE(bad_flags.UnreadNames().empty());
+  EXPECT_EQ(flags.positional(), (std::vector<std::string>{"serve"}));
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

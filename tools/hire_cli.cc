@@ -106,10 +106,10 @@ serve:
   --max-connections <int>   open-connection bound; accepts past it get an
                             immediate 503 + Retry-After instead of growing
                             the fd table (0 = unbounded)
-  --batch-window-us <int>   micro-batching window; requests arriving within
-                            it share one model forward (2000; 0 = one
-                            context per request)
-  --max-batch-users <int>   distinct users coalesced per forward (8)
+  --max-batch-users <int>   distinct users coalesced per forward: a free
+                            batch worker takes whatever is queued, up to
+                            this many users, without waiting for more (8;
+                            1 = one context per user)
   --context <int>      context users = items, must match training (16)
   --visible-fraction <double>  observed-rating density in served contexts
                             (0.1)
@@ -348,7 +348,6 @@ int Serve(const Flags& flags) {
   config.cache_capacity =
       static_cast<size_t>(flags.GetInt("cache-capacity", 1024));
   config.model_path = model_path;
-  config.batcher.batch_window_us = flags.GetInt("batch-window-us", 2000);
   config.batcher.max_batch_users = flags.GetInt("max-batch-users", 8);
   config.batcher.context_users = flags.GetInt("context", 16);
   config.batcher.context_items = config.batcher.context_users;
@@ -370,6 +369,11 @@ int Serve(const Flags& flags) {
 
   serve::RatingServer server(&dataset, ModelConfig(flags), std::move(graph),
                              config);
+  // Every serve flag has been read by now; what is left is a typo or a flag
+  // serve does not know. Warn and keep running.
+  for (const std::string& name : flags.UnreadNames()) {
+    HIRE_LOG(Warning) << "serve: ignoring unknown flag --" << name;
+  }
   server.Start();
   // Machine-parseable line for scripts driving an ephemeral-port server.
   std::cout << "SERVE_LISTENING port=" << server.port() << "\n" << std::flush;

@@ -100,33 +100,25 @@ unset HIRE_FAULT_SERVE_SLOW_HANDLER_MS
 echo "phase B: admission control -> 503 + Retry-After"
 export HIRE_FAULT_SERVE_SLOW_HANDLER_MS=200
 start_server "$WORK/b.log" --model="$WORK/model.bin" --max-inflight=2 \
-    --queue-capacity=2 --batch-window-us=0
+    --queue-capacity=2 --max-batch-users=1
 "$LOADGEN" --mode=drive --port="$PORT" --clients=6 --requests-per-client=4 \
     --max-user=30 --max-item=25 --allow-status=503 >"$WORK/b_drive.log" 2>&1 \
     || { cat "$WORK/b_drive.log" >&2; fail "phase B drive"; }
 grep -q "DRIVE_STATUS.* 503=" "$WORK/b_drive.log" \
     || { cat "$WORK/b_drive.log" >&2; fail "overload never shed a request"; }
 # A saturating background drive keeps both in-flight slots busy; a probe in
-# that window must come back 503 with a Retry-After hint. The drive's shed
-# clients retry at once and spend their requests within milliseconds, so
-# once a probe holds a slot the drive can shrink to a single client that
-# alternates with the probe and never saturates the server again. Each probe
-# round therefore sends three probes at once, more than the two in-flight
-# slots hold, and the rounds last exactly as long as the drive does.
-"$LOADGEN" --mode=drive --port="$PORT" --clients=4 --requests-per-client=20 \
+# that window must come back 503 with a Retry-After hint. Shed drive clients
+# back off for the hint (capped) rather than resending at once, so the drive
+# keeps the server saturated for its whole run and one probe per round
+# suffices.
+"$LOADGEN" --mode=drive --port="$PORT" --clients=4 --requests-per-client=8 \
     --max-user=30 --max-item=25 --allow-status=503 >/dev/null 2>&1 &
 BG_DRIVE=$!
 SHED=""
 while kill -0 "$BG_DRIVE" 2>/dev/null; do
-  PROBES=()
-  for p in 1 2 3; do
-    "$LOADGEN" --mode=probe --port="$PORT" --method=POST --path=/predict \
-        --body='{"user":3,"items":[1]}' >"$WORK/b_probe_$p.log" 2>/dev/null &
-    PROBES+=($!)
-  done
-  wait "${PROBES[@]}"
-  SHED_LOG="$(grep -l "PROBE_STATUS 503" "$WORK"/b_probe_*.log | head -n 1)"
-  if [ -n "$SHED_LOG" ]; then SHED="$(cat "$SHED_LOG")"; break; fi
+  PROBE="$("$LOADGEN" --mode=probe --port="$PORT" --method=POST \
+      --path=/predict --body='{"user":3,"items":[1]}' 2>/dev/null)"
+  if echo "$PROBE" | grep -q "PROBE_STATUS 503"; then SHED="$PROBE"; break; fi
   sleep 0.1
 done
 wait "$BG_DRIVE" 2>/dev/null

@@ -37,7 +37,7 @@ SHAPE=(--profile=movielens --scale=0.05 --him-blocks=2 --heads=2 --head-dim=4
 
 # Sample every request into the tracer.
 "$CLI" serve "${SHAPE[@]}" --model="$WORK/model.bin" --port=0 \
-    --context=8 --batch-window-us=2000 --max-batch-users=4 \
+    --context=8 --max-batch-users=4 \
     --trace-out="$WORK/serve_trace.json" --trace-sample-every=1 \
     --slow-request-ms=2000 \
     >"$WORK/serve.log" 2>&1 &

@@ -40,7 +40,7 @@ SHAPE=(--profile=movielens --scale=0.05 --him-blocks=2 --heads=2 --head-dim=4
 # Tracing-enabled pass: every 25th request is sampled into the Chrome-trace
 # tracer, which the server flushes to disk on clean shutdown.
 "$CLI" serve "${SHAPE[@]}" --model="$WORK/model_a.bin" --port=0 \
-    --context=8 --batch-window-us=2000 --max-batch-users=4 \
+    --context=8 --max-batch-users=4 \
     --trace-out="$WORK/serve_trace.json" --trace-sample-every=25 \
     --metrics-out="$WORK/metrics.jsonl" >"$WORK/serve.log" 2>&1 &
 SERVER_PID=$!
@@ -123,7 +123,7 @@ grep -q '"name":"req#[0-9]*/total"' "$WORK/serve_trace.json" \
 # sum to the total traffic, and a rolling /reload with zero failed requests.
 # --------------------------------------------------------------------------
 "$CLI" serve "${SHAPE[@]}" --model="$WORK/model_a.bin" --port=0 --shards=4 \
-    --context=8 --batch-window-us=2000 --max-batch-users=4 \
+    --context=8 --max-batch-users=4 \
     >"$WORK/serve_sharded.log" 2>&1 &
 SERVER_PID=$!
 

@@ -53,6 +53,8 @@ probe:  --port <int> --method <GET|POST> --path </healthz> --body <json>
         --deadline-ms <int>        send X-Deadline-Ms (0 = none)
         --timeout-ms <int>         client socket timeout (30000)
 
+After a 503, a drive client waits out the response's Retry-After, capped
+at 250 ms so drills stay short, before its next request.
 drive prints "DRIVE_STATUS 200=n 503=n ... degraded=n transport_errors=n"
 for scripts asserting on the status mix.
 )";
@@ -79,6 +81,27 @@ struct DriveOptions {
   std::set<int> allow_status;        // besides 200 (e.g. {503, 504})
   bool allow_transport_errors = false;
 };
+
+/// Cap on the Retry-After wait, so an overload drill stays time-bounded.
+constexpr std::chrono::milliseconds kMaxBackoff{250};
+
+/// How long a client waits after a 503: the response's Retry-After (whole
+/// seconds, RFC 9110), capped at kMaxBackoff. No or malformed hint, no wait.
+std::chrono::milliseconds BackoffAfter503(
+    const serve::HttpClient::Result& response) {
+  const auto hint = response.headers.find("retry-after");
+  if (hint == response.headers.end()) return std::chrono::milliseconds(0);
+  char* end = nullptr;
+  const long long seconds = std::strtoll(hint->second.c_str(), &end, 10);
+  if (end == hint->second.c_str() || *end != '\0' || seconds < 0) {
+    return std::chrono::milliseconds(0);
+  }
+  // Clamp before scaling so a huge hint cannot overflow.
+  const long long capped_seconds =
+      std::min<long long>(seconds, kMaxBackoff.count() / 1000 + 1);
+  return std::min(std::chrono::milliseconds(capped_seconds * 1000),
+                  kMaxBackoff);
+}
 
 double Percentile(std::vector<double> sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -141,6 +164,11 @@ DriveResult Drive(int port, int clients, int64_t requests_each,
             continue;
           }
           ++statuses[response.status];
+          if (response.status == 503) {
+            // A shed client honours the server's hint instead of resending
+            // at once, so an overload lasts as long as the drive does.
+            std::this_thread::sleep_for(BackoffAfter503(response));
+          }
           if (response.status == 200) {
             latencies.push_back(micros);
             if (response.body.find("\"degraded\":true") != std::string::npos) {
