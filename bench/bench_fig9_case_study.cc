@@ -93,7 +93,6 @@ int main() {
     }
     if (value <= 2.0f && low_cell < 0) low_cell = flat;
   }
-  const int64_t h = model.him_block(0).captured_attribute_attention().shape(2);
   if (high_cell >= 0) {
     const Tensor mba =
         AverageHeads(last_him.captured_attribute_attention(), high_cell);

@@ -4,7 +4,7 @@
 // vs the autograd reference (HireModel::Predict) at serve batch shapes;
 // plus the fused attention core on the dispatched kernels vs the portable
 // ones (tensor/kernel_dispatch.h) at the hirebench model's MBA and MBU
-// shapes.
+// shapes, and the attention lanes' vector exp (ExpAvx2) vs std::exp.
 //
 // Three modes, all at the first --threads count (default 1):
 //   * default: the google-benchmark suite below.
@@ -16,7 +16,10 @@
 //     (machine fingerprint; per row op, shape, impl, threads, median
 //     ns/iter, median speedup) into PATH, replacing the record with the
 //     same fingerprint and keeping the others. tools/run_bench.sh
-//     --kernels wraps this for BENCH_kernels.json at the repo root.
+//     --kernels wraps this for BENCH_kernels.json at the repo root. On an
+//     AVX2 host it first checks ExpAvx2 against std::exp on all 2^31
+//     sign-set inputs (about 15 s on one core) and records nothing, exit 1,
+//     on any mismatch.
 //   * --check_regress=BASELINE [--regress_tolerance=0.10]: runs the same
 //     timing and gates the in-run speedups, never absolute times (those move
 //     across hardware and between runs on one host). serve_forward must be
@@ -306,6 +309,8 @@ struct BenchFixtures {
   // 256 cells x 9 attribute tokens with 4 heads x 2, MBU over 16 items x 16
   // user tokens with 4 heads x 8. QKV buffers [batch, tokens, 3 * inner].
   Tensor mba_qkv, mba_out, mbu_qkv, mbu_out;
+  // Arguments of the attention lanes' exp (scores minus the running max).
+  Tensor exp_args, exp_out;
 
   BenchFixtures()
       : dataset(BenchDataset()),
@@ -330,7 +335,9 @@ struct BenchFixtures {
         mba_qkv(RandomNormal({256, 9, 24}, 0, 1, &rng)),
         mba_out({256, 9, 8}),
         mbu_qkv(RandomNormal({16, 16, 96}, 0, 1, &rng)),
-        mbu_out({16, 16, 32}) {
+        mbu_out({16, 16, 32}),
+        exp_args(RandomUniform({4096}, -16.0f, 0.0f, &rng)),
+        exp_out({4096}) {
     model.SetTraining(false);
     mhsa.SetTraining(false);
     attn_qkv = Tensor({128, 16, 48});
@@ -407,6 +414,30 @@ std::vector<BenchCase> BuildCases(BenchFixtures* fx) {
                      run, "portable", "dispatched"});
   }
 
+#if defined(__x86_64__) || defined(__i386__)
+  // The attention lanes' exp over one buffer of exp arguments like theirs
+  // (scores minus the running max, <= 0). ExpAvx2 works in place, so its
+  // side copies the arguments in first.
+  if (HostKernelIsa() == KernelIsa::kAvx2) {
+    cases.push_back({"exp", "4096",
+                     [fx] {
+                       const float* args = fx->exp_args.data();
+                       float* exps = fx->exp_out.data();
+                       for (int64_t i = 0; i < 4096; ++i) {
+                         exps[i] = std::exp(args[i]);
+                       }
+                       benchmark::DoNotOptimize(exps);
+                     },
+                     [fx] {
+                       std::copy_n(fx->exp_args.data(), 4096,
+                                   fx->exp_out.data());
+                       ExpAvx2(fx->exp_out.data(), 4096);
+                       benchmark::DoNotOptimize(fx->exp_out.data());
+                     },
+                     "portable", "dispatched"});
+  }
+#endif
+
   // The acceptance case: whole forward at the default serve batch shape.
   cases.push_back(
       {"serve_forward", "16x16",
@@ -416,6 +447,42 @@ std::vector<BenchCase> BuildCases(BenchFixtures* fx) {
              fx->fused.Predict(fx->context, &fx->arena).data());
        }});
   return cases;
+}
+
+/// ExpAvx2 must be bitwise std::exp (tensor/kernel_dispatch.h). Checks
+/// that on every sign-set input, the domain the attention lanes use, and
+/// returns false on any mismatch. True on hosts that do not run ExpAvx2.
+bool ExpAvx2MatchesStdExp() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (HostKernelIsa() != KernelIsa::kAvx2) return true;
+  Stopwatch stopwatch;
+  constexpr int kBatch = 4096;
+  std::vector<float> in(kBatch);
+  std::vector<float> out(kBatch);
+  int64_t mismatches = 0;
+  for (uint64_t bits = 0x80000000u; bits < 0x100000000u; bits += kBatch) {
+    for (int i = 0; i < kBatch; ++i) {
+      const uint32_t pattern = static_cast<uint32_t>(bits + i);
+      std::memcpy(&in[i], &pattern, sizeof(pattern));
+    }
+    out = in;
+    ExpAvx2(out.data(), kBatch);
+    for (int i = 0; i < kBatch; ++i) {
+      const float expected = std::exp(in[i]);
+      if (std::memcmp(&out[i], &expected, sizeof(expected)) != 0 &&
+          ++mismatches <= 5) {
+        std::cerr << "exp sweep: mismatch at input bits 0x" << std::hex
+                  << (bits + i) << std::dec << "\n";
+      }
+    }
+  }
+  std::cerr << "exp sweep: ExpAvx2 vs std::exp on 2^31 sign-set inputs, "
+            << mismatches << " mismatches, "
+            << FormatDouble(stopwatch.ElapsedSeconds(), 1) << " s\n";
+  return mismatches == 0;
+#else
+  return true;
+#endif
 }
 
 /// Rounds per timing run; see RunCases.
@@ -796,6 +863,7 @@ int main(int argc, char** argv) {
                         min_seconds);
   }
   if (!emit_json.empty()) {
+    if (!ExpAvx2MatchesStdExp()) return 1;
     BenchFixtures fixtures;
     return EmitJson(
         RecordRows(BuildCases(&fixtures), thread_counts, min_seconds),

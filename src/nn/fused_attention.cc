@@ -99,9 +99,12 @@ void AttendSequence(int64_t head_dim, const float* q, const float* k,
 // AVX2 lane-parallel attention. Each of the eight lanes is one independent
 // (query, head) sequence and runs exactly AttendSequenceFixed's operation
 // sequence for it: the dot product from 0.0f in ascending p, multiply then
-// add (no FMA), the scale, the running max, a double mass, the same
-// std::exp per lane, the final 1/mass in double. So every output element is
-// bitwise the portable kernel's. Two layouts:
+// add (no FMA), the scale, the running max, a double mass, the exp, the
+// final 1/mass in double. The exp is ExpAvx2 (tensor/kernel_dispatch.h),
+// bitwise the glibc expf that the portable kernel's std::exp calls. It is
+// compiled with FMA and lives out of line in another file, so none of the
+// functions here is. So every output element is bitwise the portable
+// kernel's. Two layouts:
 //   * AttendQueryLanes: head_dim 8 or 16, eight queries of one (batch,
 //     head) sequence in the lanes, each token's K/V element broadcast to
 //     all of them (MBU/MBI);
@@ -119,19 +122,20 @@ constexpr int kKeyChunk = 16;
 // lanes, over `tokens` keys. Per key, the portable kernel's branch
 //   s > m: rescale the accumulators and mass by exp(m - s), weight 1, m = s
 //   else:  weight exp(s - m)
-// becomes one std::exp per lane of (s > m ? m - s : s - m), selected
+// becomes one exp per lane of (s > m ? m - s : s - m), selected
 // branch-free. The first key's rescale, which the portable kernel skips,
 // multiplies an all-zero row and mass by exp(-inf) == 0, which leaves them
 // as they are. The running max depends on the scores alone, so each chunk
-// of keys runs in three passes: scores, max and exp arguments; the exps, in
-// one tight scalar loop; then the mass and the caller's accumulators. That
-// only regroups independent operations: each lane's sequence is unchanged.
-// Several vectors at once give the core independent chains to overlap.
+// of keys runs in three passes: scores, max and exp arguments; the exps,
+// one ExpAvx2 call over the chunk; then the mass and the caller's
+// accumulators. That only regroups independent operations: each lane's
+// sequence is unchanged. Several vectors at once give the core independent
+// chains to overlap.
 //
 // Every vector is full except the last, which holds `lanes` sequences; its
-// other lanes skip the exps and read weight 0. score(j, s) writes key j's
-// scaled scores, one vector per group; accumulate(j, grew, rescale, w)
-// applies key j to the caller's accumulators (see Accumulate). Writes
+// other lanes' exps are computed but they read weight 0. score(j, s) writes
+// key j's scaled scores, one vector per group; accumulate(j, grew, rescale,
+// w) applies key j to the caller's accumulators (see Accumulate). Writes
 // static_cast<float>(1.0 / mass) per lane into inv.
 template <int kGroups, typename ScoreFn, typename AccumulateFn>
 HIRE_AVX2 inline void OnlineSoftmaxLanes(int64_t tokens, int lanes,
@@ -170,15 +174,7 @@ HIRE_AVX2 inline void OnlineSoftmaxLanes(int64_t tokens, int lanes,
         m[g] = _mm256_blendv_ps(m[g], s[g], gt);
       }
     }
-    for (int t = 0; t < chunk; ++t) {
-      float* row = weight[t];
-      for (int l = 0; l < used; ++l) {
-        // exp(-inf) is exactly 0: the first key's rescale needs no call.
-        row[l] = row[l] == -std::numeric_limits<float>::infinity()
-                     ? 0.0f
-                     : std::exp(row[l]);
-      }
-    }
+    ExpAvx2(weight[0], chunk * kLanes);
     for (int t = 0; t < chunk; ++t) {
       __m256 gt[kGroups];
       __m256 e[kGroups];

@@ -531,6 +531,84 @@ TEST_F(ParallelKernelsTest, Avx2GemmTilesMatchPortableBitwise) {
   }
 }
 
+#if defined(__x86_64__) || defined(__i386__)
+// ExpAvx2, the attention lanes' exp, must return std::exp's bits (the host
+// glibc's expf) for every input. Counts the mismatches over the bit
+// patterns begin, begin + stride, ... below end, reporting the first few.
+int64_t ExpAvx2Mismatches(uint64_t begin, uint64_t end, uint64_t stride) {
+  constexpr int kBatch = 4096;
+  std::vector<float> in(kBatch);
+  std::vector<float> out(kBatch);
+  int64_t mismatches = 0;
+  for (uint64_t bits = begin; bits < end;) {
+    int n = 0;
+    for (; n < kBatch && bits < end; ++n, bits += stride) {
+      const uint32_t pattern = static_cast<uint32_t>(bits);
+      std::memcpy(&in[n], &pattern, sizeof(pattern));
+    }
+    for (int i = n; i % 8 != 0; ++i) in[i] = 0.0f;  // pad to whole vectors
+    out = in;
+    ExpAvx2(out.data(), (n + 7) / 8 * 8);
+    for (int i = 0; i < n; ++i) {
+      const float expected = std::exp(in[i]);
+      uint32_t input = 0, got = 0, want = 0;
+      std::memcpy(&input, &in[i], sizeof(input));
+      std::memcpy(&got, &out[i], sizeof(got));
+      std::memcpy(&want, &expected, sizeof(want));
+      if (got != want && ++mismatches <= 5) {
+        ADD_FAILURE() << std::hex << "exp of 0x" << input << ": 0x" << got
+                      << ", std::exp gives 0x" << want;
+      }
+    }
+  }
+  return mismatches;
+}
+
+uint64_t FloatBits(float x) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+TEST(ExpAvx2ExactTest, MatchesStdExpBitwise) {
+  if (HostKernelIsa() != KernelIsa::kAvx2) {
+    GTEST_SKIP() << "no AVX2 and FMA on this host: the attention lanes and "
+                    "their exp do not run";
+  }
+  // Every 61st sign-set pattern (about 35 M): all the inputs the attention
+  // lanes pass, exp(s - m) and exp(m - s), are <= 0 or NaN. Then every
+  // 61st positive one.
+  EXPECT_EQ(ExpAvx2Mismatches(0x80000000u, 0x100000000u, 61), 0);
+  EXPECT_EQ(ExpAvx2Mismatches(0, 0x80000000u, 61), 0);
+  // Dense windows: around -0 (results round to 1), around -88 (the edge
+  // of glibc's special-case test), around log(2^-150) = -0x1.9fe368p6f
+  // (the underflow threshold) and around log(FLT_MAX) (overflow).
+  const auto window = [](float x, uint64_t radius) {
+    return ExpAvx2Mismatches(FloatBits(x) - radius, FloatBits(x) + radius, 1);
+  };
+  EXPECT_EQ(ExpAvx2Mismatches(0x80000000u, 0x80000000u + (1u << 20), 1), 0);
+  EXPECT_EQ(window(-88.0f, 1u << 18), 0);
+  EXPECT_EQ(window(-0x1.9fe368p6f, 1u << 16), 0);
+  EXPECT_EQ(window(0x1.62e42ep6f, 1u << 16), 0);
+  // Every input with a subnormal result: log(2^-150) .. log(FLT_MIN).
+  EXPECT_EQ(ExpAvx2Mismatches(FloatBits(std::log(
+                                  std::numeric_limits<float>::min())),
+                              FloatBits(-0x1.9fe368p6f) + 1, 1),
+            0);
+  // The infinities, and NaNs of both signs, quiet and signalling, with
+  // low, high and all-ones payloads: x + x keeps the payload and quiets it.
+  EXPECT_EQ(ExpAvx2Mismatches(0xff800000u, 0xff800000u + (1u << 16), 1), 0);
+  EXPECT_EQ(ExpAvx2Mismatches(0xffc00000u, 0xffc00000u + (1u << 16), 1), 0);
+  EXPECT_EQ(ExpAvx2Mismatches(0xffff0000u, 0x100000000u, 1), 0);
+  EXPECT_EQ(ExpAvx2Mismatches(0x7f800000u, 0x7f800000u + (1u << 16), 1), 0);
+  EXPECT_EQ(ExpAvx2Mismatches(0x7fc00000u, 0x7fc00000u + (1u << 16), 1), 0);
+  // glibc's expf without FMA (the variant a host without FMA resolves)
+  // rounds this input differently: matching here shows that the FMA
+  // variant is the one mirrored.
+  EXPECT_EQ(ExpAvx2Mismatches(0xc27c65d9u, 0xc27c65d9u + 1, 1), 0);
+}
+#endif  // x86
+
 // ---------------------------------------------------------------------------
 // Fused inference primitives (GemmBiasAct, OnlineSoftmaxWeightedSum).
 // ---------------------------------------------------------------------------

@@ -342,7 +342,7 @@ TEST(FlagsTest, UnreadNamesListsSetFlagsNoGetterAsked) {
 TEST(StopwatchTest, MeasuresElapsedTime) {
   Stopwatch stopwatch;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(stopwatch.ElapsedSeconds(), 0.0);
   EXPECT_GE(stopwatch.ElapsedMillis(), stopwatch.ElapsedSeconds());
 }
