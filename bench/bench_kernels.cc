@@ -4,7 +4,8 @@
 // vs the autograd reference (HireModel::Predict) at serve batch shapes;
 // plus the fused attention core on the dispatched kernels vs the portable
 // ones (tensor/kernel_dispatch.h) at the hirebench model's MBA and MBU
-// shapes, and the attention lanes' vector exp (ExpAvx2) vs std::exp.
+// shapes, the attention lanes' vector exp (ExpAvx2) vs std::exp, and the
+// tape's Permute vs the per-element index reconstruction it replaced.
 //
 // Three modes, all at the first --threads count (default 1):
 //   * default: the google-benchmark suite below.
@@ -90,6 +91,29 @@ graph::PredictionContext BenchContext(const data::Dataset& dataset, int64_t n,
   graph::NeighborhoodSampler sampler;
   Rng rng(seed);
   return graph::BuildTrainingContext(graph, sampler, n, m, 0.3, &rng);
+}
+
+/// The per-element index reconstruction ops::Permute ran before it walked
+/// strided runs: the multi-index of every output element rebuilt with a
+/// div/mod chain. The baseline side of the permute row.
+Tensor PermuteByIndexReconstruction(const Tensor& a,
+                                    const std::vector<int>& axes) {
+  const size_t rank = axes.size();
+  std::vector<int64_t> new_shape(rank);
+  for (size_t i = 0; i < rank; ++i) new_shape[i] = a.shape(axes[i]);
+  Tensor out(new_shape);
+  const std::vector<int64_t> in_strides = a.Strides();
+  const std::vector<int64_t> out_strides = out.Strides();
+  for (int64_t flat = 0; flat < a.size(); ++flat) {
+    int64_t rem = flat;
+    int64_t src = 0;
+    for (size_t i = 0; i < rank; ++i) {
+      src += rem / out_strides[i] * in_strides[static_cast<size_t>(axes[i])];
+      rem %= out_strides[i];
+    }
+    out.flat(flat) = a.flat(src);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -228,9 +252,10 @@ BENCHMARK(BM_FusedServeForward)->Arg(16)->Arg(1);
 
 // Rows come in (baseline, optimised) pairs: "tape" then "fused" for the
 // fused inference path, "portable" then "dispatched" for the kernels the
-// ISA dispatch (tensor/kernel_dispatch.h) picks. `speedup_vs_tape` keeps its
-// name in the JSON for older records; it is the speedup over the pair's
-// baseline, whichever that is.
+// ISA dispatch (tensor/kernel_dispatch.h) picks, "reference" then "strided"
+// for the tape's Permute. `speedup_vs_tape` keeps its name in the JSON for
+// older records; it is the speedup over the pair's baseline, whichever
+// that is.
 struct BenchRow {
   std::string op;
   std::string shape;
@@ -241,7 +266,7 @@ struct BenchRow {
 };
 
 bool IsBaselineImpl(const std::string& impl) {
-  return impl == "tape" || impl == "portable";
+  return impl == "tape" || impl == "portable" || impl == "reference";
 }
 
 struct BenchCase {
@@ -311,6 +336,8 @@ struct BenchFixtures {
   Tensor mba_qkv, mba_out, mbu_qkv, mbu_out;
   // Arguments of the attention lanes' exp (scores minus the running max).
   Tensor exp_args, exp_out;
+  // MBU's head split in the tape: [items, users, heads, head_dim].
+  Tensor permute_x;
 
   BenchFixtures()
       : dataset(BenchDataset()),
@@ -337,7 +364,8 @@ struct BenchFixtures {
         mbu_qkv(RandomNormal({16, 16, 96}, 0, 1, &rng)),
         mbu_out({16, 16, 32}),
         exp_args(RandomUniform({4096}, -16.0f, 0.0f, &rng)),
-        exp_out({4096}) {
+        exp_out({4096}),
+        permute_x(RandomNormal({16, 16, 4, 8}, 0, 1, &rng)) {
     model.SetTraining(false);
     mhsa.SetTraining(false);
     attn_qkv = Tensor({128, 16, 48});
@@ -413,6 +441,20 @@ std::vector<BenchCase> BuildCases(BenchFixtures* fx) {
                      },
                      run, "portable", "dispatched"});
   }
+
+  // The tape's head split: Permute's strided runs vs the per-element index
+  // reconstruction they replaced.
+  cases.push_back({"permute", "16x16x4x8_0213",
+                   [fx] {
+                     benchmark::DoNotOptimize(
+                         PermuteByIndexReconstruction(fx->permute_x,
+                                                      {0, 2, 1, 3}));
+                   },
+                   [fx] {
+                     benchmark::DoNotOptimize(
+                         ops::Permute(fx->permute_x, {0, 2, 1, 3}));
+                   },
+                   "reference", "strided"});
 
 #if defined(__x86_64__) || defined(__i386__)
   // The attention lanes' exp over one buffer of exp arguments like theirs

@@ -44,7 +44,10 @@ std::string JsonEscape(const std::string& text) {
 }
 
 std::string JsonString(const std::string& text) {
-  return "\"" + JsonEscape(text) + "\"";
+  std::string out = "\"";
+  out += JsonEscape(text);
+  out += '"';
+  return out;
 }
 
 std::string JsonNumber(double value) {

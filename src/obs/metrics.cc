@@ -112,14 +112,22 @@ HistogramSnapshot HistogramSnapshot::Delta(
 }
 
 std::string HistogramSnapshot::ToJson() const {
-  std::string out = "{\"count\":" + std::to_string(count) +
-                    ",\"sum\":" + JsonNumber(sum) + ",\"buckets\":[";
+  std::string out = "{\"count\":";
+  out += std::to_string(count);
+  out += ",\"sum\":";
+  out += JsonNumber(sum);
+  out += ",\"buckets\":[";
   for (size_t i = 0; i < upper_bounds.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "[" + JsonNumber(upper_bounds[i]) + "," +
-           std::to_string(bucket_counts[i]) + "]";
+    if (i > 0) out += ',';
+    out += '[';
+    out += JsonNumber(upper_bounds[i]);
+    out += ',';
+    out += std::to_string(bucket_counts[i]);
+    out += ']';
   }
-  out += "],\"overflow\":" + std::to_string(bucket_counts.back()) + "}";
+  out += "],\"overflow\":";
+  out += std::to_string(bucket_counts.back());
+  out += '}';
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -410,6 +411,101 @@ void LaunchGemm(const float* a, const float* b, float* c, int64_t n,
   });
 }
 
+// Head-dim kernels for the batched GEMMs, which only the tape's attention
+// runs (the fused forward has its own kernels). In all six of its forward
+// and backward products the shared extent is the head dim: the contraction
+// k of Q K^T and dP = dO V^T (B transposed), the column count m of P V,
+// dQ = dS K, dK = dS^T Q and dV = P^T dO (B plain). With that extent fixed
+// at compile time the loops unroll into registers. Each C element keeps
+// the generic loops' chain: products added in ascending p, multiply then
+// add, starting from C (B plain) or from +0 and then added to C (B
+// transposed).
+template <typename V>
+V LoadLanes(const float* p) {
+  V v;
+  std::memcpy(&v, p, sizeof(V));
+  return v;
+}
+
+template <typename V>
+void StoreLanes(float* p, V v) {
+  std::memcpy(p, &v, sizeof(V));
+}
+
+// C[R, M] += A[R, k] * B[k, M] for R rows of A (row stride k): each C row
+// is M / W accumulators of W lanes (V is a vector type or a plain float),
+// held in registers across the whole k loop.
+template <typename V, int M, int R>
+void HeadDimBlock(const float* a, const float* b, float* c, int64_t k) {
+  constexpr int W = sizeof(V) / sizeof(float);
+  constexpr int NV = M / W;
+  static_assert(M % W == 0, "head dim must fill whole lanes");
+  V acc[R][NV];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < NV; ++v) acc[r][v] = LoadLanes<V>(c + r * M + v * W);
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    V bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = LoadLanes<V>(b + p * M + v * W);
+    for (int r = 0; r < R; ++r) {
+      const float a_rp = a[r * k + p];
+      for (int v = 0; v < NV; ++v) acc[r][v] += a_rp * bv[v];
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < NV; ++v) StoreLanes(c + r * M + v * W, acc[r][v]);
+  }
+}
+
+// C[n, M] += A[n, k] * B[k, M], R rows at a time.
+template <typename V, int M, int R>
+void HeadDimGemm(const float* a, const float* b, float* c, int64_t n,
+                 int64_t k) {
+  int64_t i = 0;
+  for (; i + R <= n; i += R) HeadDimBlock<V, M, R>(a + i * k, b, c + i * M, k);
+  for (; i < n; ++i) HeadDimBlock<V, M, 1>(a + i * k, b, c + i * M, k);
+}
+
+// C[n, m] += A[n, K] * B[m, K]^T: one K-long dot product per element, with
+// the A row held in registers across the row of C.
+template <int K>
+void HeadDimGemmTransposedB(const float* a, const float* b, float* c,
+                            int64_t n, int64_t m) {
+  for (int64_t i = 0; i < n; ++i) {
+    float a_row[K];
+    for (int p = 0; p < K; ++p) a_row[p] = a[i * K + p];
+    float* c_row = c + i * m;
+    for (int64_t j = 0; j < m; ++j) {
+      const float* b_row = b + j * K;
+      float acc = 0.0f;
+      for (int p = 0; p < K; ++p) acc += a_row[p] * b_row[p];
+      c_row[j] += acc;
+    }
+  }
+}
+
+// One matrix (or a slab of its rows) of a batched GEMM: a head-dim kernel
+// when the shared extent is 2, 4, 8 or 16, GemmRows otherwise.
+void BatchedGemmRows(const float* a, const float* b, float* c, int64_t n,
+                     int64_t k, int64_t m, bool b_transposed) {
+  if (b_transposed) {
+    switch (k) {
+      case 2: return HeadDimGemmTransposedB<2>(a, b, c, n, m);
+      case 4: return HeadDimGemmTransposedB<4>(a, b, c, n, m);
+      case 8: return HeadDimGemmTransposedB<8>(a, b, c, n, m);
+      case 16: return HeadDimGemmTransposedB<16>(a, b, c, n, m);
+    }
+  } else {
+    switch (m) {
+      case 2: return HeadDimGemm<float, 2, 4>(a, b, c, n, k);
+      case 4: return HeadDimGemm<v4sf, 4, 4>(a, b, c, n, k);
+      case 8: return HeadDimGemm<v4sf, 8, 4>(a, b, c, n, k);
+      case 16: return HeadDimGemm<v4sf, 16, 2>(a, b, c, n, k);
+    }
+  }
+  GemmRows(a, b, c, n, k, m, b_transposed);
+}
+
 // Batched variant. When the batch has at least one matrix per lane, tasks
 // are whole matrices: each matrix is packed exactly once, and many small
 // irregular GEMMs coalesce into one chunk instead of being shredded into
@@ -428,8 +524,8 @@ void LaunchBatchedGemm(const float* a, const float* b, float* c,
     const int64_t grain = PlanGrain(batch, matrix_cost);
     ParallelForRange(0, batch, grain, [&](int64_t s0, int64_t s1) {
       for (int64_t s = s0; s < s1; ++s) {
-        GemmRows(a + s * n * k, b + s * b_stride, c + s * n * m, n, k, m,
-                 b_transposed);
+        BatchedGemmRows(a + s * n * k, b + s * b_stride, c + s * n * m, n, k,
+                        m, b_transposed);
       }
     });
     return;
@@ -441,8 +537,8 @@ void LaunchBatchedGemm(const float* a, const float* b, float* c,
       const int64_t s = g / n;
       const int64_t r0 = g - s * n;
       const int64_t rows = std::min(n - r0, g1 - g);
-      GemmRows(a + (s * n + r0) * k, b + s * b_stride, c + (s * n + r0) * m,
-               rows, k, m, b_transposed);
+      BatchedGemmRows(a + (s * n + r0) * k, b + s * b_stride,
+                      c + (s * n + r0) * m, rows, k, m, b_transposed);
       g += rows;
     }
   });
@@ -610,22 +706,75 @@ Tensor Permute(const Tensor& a, const std::vector<int>& axes) {
   }
 
   Tensor out(new_shape);
+  const int64_t total = a.size();
+  if (rank == 0 || total == 0) {
+    // A shaped rank-0 tensor holds one element, a default-constructed one
+    // none (and Tensor rejects zero extents, so no other tensor is empty).
+    if (total > 0) out.flat(0) = a.flat(0);
+    return out;
+  }
+  // The output is walked in order as runs along its last axis. Each run
+  // reads the input at that axis's input stride, so it is a contiguous copy
+  // whenever the permutation keeps the last axis last. Consecutive runs of
+  // one plane (the second-to-last output axis) step by that axis's input
+  // stride; an odometer over the outer axes carries from plane to plane. A
+  // chunk derives its start coordinates once with div/mod, and may start
+  // and end mid-run. Rank 1 walks as one plane of one run.
   const std::vector<int64_t> in_strides = a.Strides();
-  const std::vector<int64_t> out_strides = out.Strides();
-  // For each output element, reconstruct the multi-index and gather from
-  // the input. The div/mod chain dominates, charged as flops.
-  const int64_t grain = PlanGrain(a.size(), {8.0 * rank, 8.0});
-  ParallelForRange(0, a.size(), grain, [&](int64_t lo, int64_t hi) {
-    for (int64_t flat = lo; flat < hi; ++flat) {
-      int64_t rem = flat;
-      int64_t src = 0;
-      for (int i = 0; i < rank; ++i) {
-        const int64_t coord = rem / out_strides[static_cast<size_t>(i)];
-        rem %= out_strides[static_cast<size_t>(i)];
-        src +=
-            coord * in_strides[static_cast<size_t>(axes[static_cast<size_t>(i)])];
+  std::vector<int64_t> extents = new_shape;
+  std::vector<int64_t> strides(static_cast<size_t>(rank));
+  for (int i = 0; i < rank; ++i) {
+    strides[static_cast<size_t>(i)] =
+        in_strides[static_cast<size_t>(axes[static_cast<size_t>(i)])];
+  }
+  if (rank == 1) {
+    extents.insert(extents.begin(), 1);
+    strides.insert(strides.begin(), 0);
+  }
+  const size_t last = extents.size() - 1;
+  const int64_t run = extents[last];
+  const int64_t run_stride = strides[last];
+  const int64_t plane = extents[last - 1];
+  const int64_t plane_stride = strides[last - 1];
+  const float* in = a.data();
+  float* po = out.data();
+  // One load and one store per element; the carries amortise over runs.
+  const int64_t grain = PlanGrain(total, {1.0, 8.0});
+  ParallelForRange(0, total, grain, [&](int64_t lo, int64_t hi) {
+    std::vector<int64_t> coord(extents.size());
+    int64_t rem = lo;
+    int64_t src = 0;
+    for (size_t i = last + 1; i-- > 0;) {
+      coord[i] = rem % extents[i];
+      rem /= extents[i];
+      src += coord[i] * strides[i];
+    }
+    int64_t flat = lo;
+    while (true) {
+      for (int64_t x = coord[last - 1], y = coord[last]; x < plane; ++x) {
+        const int64_t len = std::min(run - y, hi - flat);
+        const float* from = in + src;
+        float* to = po + flat;
+        if (run_stride == 1) {
+          for (int64_t t = 0; t < len; ++t) to[t] = from[t];
+        } else {
+          for (int64_t t = 0; t < len; ++t) to[t] = from[t * run_stride];
+        }
+        flat += len;
+        if (flat == hi) return;
+        src += plane_stride - y * run_stride;
+        y = 0;
       }
-      out.flat(flat) = a.flat(src);
+      // The plane is done: rewind it and carry into the outer axes.
+      src -= plane * plane_stride;
+      coord[last - 1] = 0;
+      coord[last] = 0;
+      for (size_t i = last - 1; i-- > 0;) {
+        src += strides[i];
+        if (++coord[i] < extents[i]) break;
+        src -= extents[i] * strides[i];
+        coord[i] = 0;
+      }
     }
   });
   return out;

@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
+#include <cstring>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -21,9 +20,11 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "graph/context_builder.h"
+#include "heap_counter.h"
 #include "nn/serialize.h"
 #include "tensor/ops.h"
 #include "utils/check.h"
+#include "utils/cost_model.h"
 #include "utils/parallel.h"
 
 namespace hire {
@@ -486,6 +487,52 @@ TEST(TrainerTest, TrainingIsDeterministicUnderSeeds) {
   }
 }
 
+// Every kernel keeps each output element's operation order whatever the
+// lane count, so a whole training run (forward, backward, optimizer) must
+// give the same bits at 1 and at 4 threads. The cost model is forced to
+// shard even these tiny shapes, so the 4-thread run really splits them.
+TEST(TrainerTest, TrainingIsBitwiseIdenticalAcrossThreadCounts) {
+  data::Dataset dataset = SmallDataset(26);
+  graph::BipartiteGraph graph(dataset.num_users(), dataset.num_items(),
+                              dataset.ratings());
+  graph::NeighborhoodSampler sampler;
+  TrainerConfig config;
+  config.num_steps = 6;
+  config.batch_size = 2;
+  config.context_users = 6;
+  config.context_items = 6;
+  config.seed = 27;
+
+  auto train = [&](int threads, std::vector<float>* params) {
+    config.num_threads = threads;
+    HireModel model(&dataset, SmallConfig(), 28);
+    const TrainStats stats = TrainHire(&model, graph, sampler, config);
+    for (const ag::Variable& p : model.Parameters()) {
+      const Tensor& value = p.value();
+      params->insert(params->end(), value.data(),
+                     value.data() + value.size());
+    }
+    return stats.step_losses;
+  };
+  SetCostModelForcedParallelForTesting(true);
+  std::vector<float> params_1, params_4;
+  const std::vector<float> losses_1 = train(1, &params_1);
+  const std::vector<float> losses_4 = train(4, &params_4);
+  SetCostModelForcedParallelForTesting(false);
+  SetGlobalThreads(0);
+
+  ASSERT_EQ(losses_1.size(), static_cast<size_t>(config.num_steps));
+  ASSERT_EQ(losses_1.size(), losses_4.size());
+  EXPECT_EQ(std::memcmp(losses_1.data(), losses_4.data(),
+                        losses_1.size() * sizeof(float)),
+            0);
+  ASSERT_EQ(params_1.size(), params_4.size());
+  ASSERT_FALSE(params_1.empty());
+  EXPECT_EQ(std::memcmp(params_1.data(), params_4.data(),
+                        params_1.size() * sizeof(float)),
+            0);
+}
+
 // ---------------------------------------------------------------------------
 // Evaluation protocol.
 // ---------------------------------------------------------------------------
@@ -858,48 +905,14 @@ TEST(InferenceForwardTest, ArenaReusesBlocksAndRewindsMarks) {
 
 // ---------------------------------------------------------------------------
 // Zero-heap forward. Global operator new/delete are replaced (at global
-// scope, affecting this whole test binary) with counting versions so the
-// test below can assert that a warmed-up fused forward performs no heap
-// allocation at all — the acceptance criterion for the arena-backed serve
-// path. Counting is a single relaxed atomic per allocation, far too small
-// to perturb the other tests. Under AddressSanitizer the replacement is
-// compiled out — ASan's own new/delete interceptors flag a malloc-backed
-// operator new as an alloc-dealloc mismatch — and the test falls back to
-// the arena growth counter, which ASan does not perturb.
+// scope, affecting this whole test binary, in heap_counter.cc) with
+// counting versions so the test below can assert that a warmed-up fused
+// forward performs no heap allocation at all — the acceptance criterion for
+// the arena-backed serve path. Counting is a single relaxed atomic per
+// allocation, far too small to perturb the other tests. Under
+// AddressSanitizer the replacement is compiled out and the test falls back
+// to the arena growth counter, which ASan does not perturb.
 // ---------------------------------------------------------------------------
-
-#if defined(__SANITIZE_ADDRESS__)
-#define HIRE_TEST_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define HIRE_TEST_ASAN 1
-#endif
-#endif
-
-namespace {
-std::atomic<uint64_t> g_heap_allocations{0};
-}  // namespace
-
-#if !defined(HIRE_TEST_ASAN)
-
-void* operator new(std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#endif  // !HIRE_TEST_ASAN
 
 namespace hire {
 namespace core {
@@ -927,11 +940,9 @@ TEST(InferenceForwardTest, WarmForwardAllocatesZeroHeap) {
 
   for (const int64_t q : {int64_t{1}, int64_t{3}, int64_t{16}}) {
     const int64_t growth_before = arena.growth_count();
-    const uint64_t allocs_before =
-        g_heap_allocations.load(std::memory_order_relaxed);
+    const uint64_t allocs_before = HeapAllocations();
     const Tensor& out = fused.Predict(context, &arena, q);
-    const uint64_t allocs_after =
-        g_heap_allocations.load(std::memory_order_relaxed);
+    const uint64_t allocs_after = HeapAllocations();
 #if !defined(HIRE_TEST_ASAN)
     EXPECT_EQ(allocs_after, allocs_before)
         << "a warmed-up fused forward must not touch the heap (q=" << q

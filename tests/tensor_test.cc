@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -709,6 +712,165 @@ TEST_F(ParallelKernelsTest, BatchedMatMulSerialVsThreaded) {
       SetGlobalThreads(threads);
       ExpectBitwiseEqual(ops::BatchedMatMul(a, b), c1);
       ExpectBitwiseEqual(ops::BatchedMatMulTransposedB(a, bt), ct1);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Permute walks strided runs with an odometer; it must give the bits of the
+// per-element index reconstruction it replaced, which this reference keeps.
+// ---------------------------------------------------------------------------
+
+Tensor PermuteByIndexReconstruction(const Tensor& a,
+                                    const std::vector<int>& axes) {
+  const int rank = a.dim();
+  std::vector<int64_t> new_shape(static_cast<size_t>(rank));
+  for (int i = 0; i < rank; ++i) {
+    new_shape[static_cast<size_t>(i)] = a.shape(axes[static_cast<size_t>(i)]);
+  }
+  Tensor out(new_shape);
+  const std::vector<int64_t> in_strides = a.Strides();
+  const std::vector<int64_t> out_strides = out.Strides();
+  for (int64_t flat = 0; flat < a.size(); ++flat) {
+    int64_t rem = flat;
+    int64_t src = 0;
+    for (int i = 0; i < rank; ++i) {
+      const int64_t coord = rem / out_strides[static_cast<size_t>(i)];
+      rem %= out_strides[static_cast<size_t>(i)];
+      src += coord *
+             in_strides[static_cast<size_t>(axes[static_cast<size_t>(i)])];
+    }
+    out.flat(flat) = a.flat(src);
+  }
+  return out;
+}
+
+// Fills a tensor with distinct values, so any misplaced element shows.
+Tensor Iota(const std::vector<int64_t>& shape) {
+  Tensor t(shape);
+  for (int64_t i = 0; i < t.size(); ++i) {
+    t.flat(i) = static_cast<float>(i) + 0.5f;
+  }
+  return t;
+}
+
+TEST_F(ParallelKernelsTest, PermuteMatchesIndexReconstructionBitwise) {
+  // Extents 1, 3, 7 and 16 in rotating order. At 4 threads the forced
+  // planner cuts size / 16 elements a chunk, which for these sizes is not a
+  // multiple of most last-axis extents: chunks start and end mid-run.
+  const std::vector<int64_t> extents = {3, 7, 1, 16, 3};
+  for (int rank = 1; rank <= 5; ++rank) {
+    for (int rotation = 0; rotation < 4; ++rotation) {
+      std::vector<int64_t> shape;
+      for (int i = 0; i < rank; ++i) {
+        shape.push_back(extents[static_cast<size_t>((i + rotation) % 5)]);
+      }
+      const Tensor a = Iota(shape);
+      std::vector<int> axes(static_cast<size_t>(rank));
+      std::iota(axes.begin(), axes.end(), 0);
+      std::vector<std::vector<int>> permutations;
+      if (rank <= 4) {
+        do {
+          permutations.push_back(axes);
+        } while (std::next_permutation(axes.begin(), axes.end()));
+      } else {
+        permutations = {{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {0, 2, 1, 4, 3},
+                        {1, 0, 3, 2, 4}, {3, 4, 0, 1, 2}};
+      }
+      for (const std::vector<int>& perm : permutations) {
+        const Tensor expected = PermuteByIndexReconstruction(a, perm);
+        for (const int threads : {1, 4}) {
+          SetGlobalThreads(threads);
+          SCOPED_TRACE(a.ShapeString() + " threads " +
+                       std::to_string(threads));
+          ExpectSameBits(ops::Permute(a, perm), expected);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ParallelKernelsTest, PermuteHandlesRankZeroAndEmptyTensors) {
+  // A shaped rank-0 tensor holds one element; a default-constructed one
+  // holds none. Tensor rejects zero extents (RejectsNonPositiveDimensions),
+  // so no other tensor is empty.
+  const Tensor scalar(std::vector<int64_t>{}, {2.5f});
+  const Tensor empty;
+  for (const int threads : {1, 4}) {
+    SetGlobalThreads(threads);
+    ExpectSameBits(ops::Permute(scalar, {}),
+                   PermuteByIndexReconstruction(scalar, {}));
+    ExpectSameBits(ops::Permute(empty, {}),
+                   PermuteByIndexReconstruction(empty, {}));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The batched GEMMs run compile-time head-dim kernels when the shared extent
+// (k with B transposed, m with B plain) is 2, 4, 8 or 16. Every extent must
+// give the generic loops' bits: ascending-p multiply-then-add chains, from C
+// for plain B, from +0 and then added to C for transposed B.
+// ---------------------------------------------------------------------------
+
+Tensor GenericBatchedMatMul(const Tensor& a, const Tensor& b,
+                            bool b_transposed) {
+  const int64_t batch = a.shape(0), n = a.shape(1), k = a.shape(2);
+  const int64_t m = b_transposed ? b.shape(1) : b.shape(2);
+  Tensor c({batch, n, m});
+  for (int64_t s = 0; s < batch; ++s) {
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t j = 0; j < m; ++j) {
+        if (b_transposed) {
+          float acc = 0.0f;
+          for (int64_t p = 0; p < k; ++p) acc += a.at(s, i, p) * b.at(s, j, p);
+          c.at(s, i, j) += acc;
+        } else {
+          for (int64_t p = 0; p < k; ++p) {
+            c.at(s, i, j) += a.at(s, i, p) * b.at(s, p, j);
+          }
+        }
+      }
+    }
+  }
+  return c;
+}
+
+// Scatters +-inf, NaN and -0 into a tensor. The NaN is made at run time, so
+// it has the bits of the NaN that inf * 0 and inf - inf make in the kernels:
+// whichever NaN an addition keeps, the result bits are the same.
+void PlantSpecialValues(Tensor* t, Rng* rng) {
+  volatile float zero = 0.0f;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = inf * zero;
+  const float specials[] = {inf, -inf, nan, -0.0f};
+  for (const float value : specials) {
+    const int64_t index = static_cast<int64_t>(
+        rng->Uniform() * static_cast<double>(t->size()));
+    t->flat(std::min(index, t->size() - 1)) = value;
+  }
+}
+
+TEST_F(ParallelKernelsTest, HeadDimBatchedGemmMatchesGenericLoopBitwise) {
+  Rng rng(17);
+  for (const int64_t d : {1L, 2L, 3L, 4L, 8L, 16L, 17L}) {
+    // A batch of 1 takes the row-slab launch at 4 threads, 5 the
+    // per-matrix one.
+    for (const int64_t batch : {1L, 5L}) {
+      Tensor a = RandomNormal({batch, 9, 13}, 0, 1, &rng);
+      Tensor b = RandomNormal({batch, 13, d}, 0, 1, &rng);
+      Tensor aq = RandomNormal({batch, 9, d}, 0, 1, &rng);
+      Tensor bt = RandomNormal({batch, 11, d}, 0, 1, &rng);
+      for (Tensor* t : {&a, &b, &aq, &bt}) PlantSpecialValues(t, &rng);
+      const Tensor plain = GenericBatchedMatMul(a, b, false);
+      const Tensor transposed = GenericBatchedMatMul(aq, bt, true);
+      for (const int threads : {1, 4}) {
+        SetGlobalThreads(threads);
+        SCOPED_TRACE("d " + std::to_string(d) + " batch " +
+                     std::to_string(batch) + " threads " +
+                     std::to_string(threads));
+        ExpectSameBits(ops::BatchedMatMul(a, b), plain);
+        ExpectSameBits(ops::BatchedMatMulTransposedB(aq, bt), transposed);
+      }
     }
   }
 }

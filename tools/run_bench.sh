@@ -10,8 +10,9 @@
 #
 # Kernel mode: time the fused inference kernels (fused attention, GEMM
 # epilogue, online softmax, whole serve forward) against their tape
-# equivalents, and the fused attention core on the dispatched kernels
-# against the portable ones, in alternating rounds and write this machine's
+# equivalents, the fused attention core on the dispatched kernels against
+# the portable ones, and the tape's Permute against the per-element index
+# reconstruction it replaced, in alternating rounds and write this machine's
 # record of median speedups into BENCH_kernels.json at the repo root,
 # keeping the records of other machines. The `kernel_regress` ctest gates
 # against the record whose machine fingerprint matches:

@@ -3,7 +3,10 @@
 # manual buffer handling — including the tape-free inference path (arena
 # allocator + fused kernels in core_test/serve_test, the strided attention
 # kernels and their query-prefix variants in nn_test/tensor_test) — plus
-# the serve_chaos drill. Two passes, each in its own build tree:
+# the serve_chaos drill. First a warnings gate, then two sanitizer passes,
+# each in its own build tree:
+#   0. a Release build of every target with -DHIRE_WERROR=ON, so a new
+#      compiler warning fails the script;
 #   1. -DHIRE_SANITIZE=address,undefined (ASan + UBSan);
 #   2. -DHIRE_SANITIZE=thread (TSan): the work-stealing runtime, the event
 #      loop, snapshot hot-swap and rolling reloads under a race detector.
@@ -13,9 +16,10 @@
 # Usage: run_sanitize.sh [source_dir] [build_dir]
 #   source_dir  repo root          (default: the directory above this script)
 #   build_dir   ASan/UBSan tree    (default: <source_dir>/build-sanitize);
-#               the TSan tree is <build_dir>-thread
-# HIRE_SANITIZERS=address,undefined (or =thread) runs that one pass only,
-# in build_dir.
+#               the TSan tree is <build_dir>-thread, the -Werror tree
+#               <build_dir>-werror
+# HIRE_SANITIZERS=address,undefined (or =thread) runs that one sanitizer
+# pass only, in build_dir, without the warnings gate.
 #
 # Wired as the optional `sanitize` CMake target: `cmake --build build
 # --target sanitize`. Not part of the default ctest run — each sanitizer
@@ -34,6 +38,16 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 export ASAN_OPTIONS="abort_on_error=1:detect_leaks=1"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
+
+werror_pass() {
+  local build_dir="$1"
+  echo "configuring $build_dir with -DHIRE_WERROR=ON"
+  cmake -B "$build_dir" -S "$SOURCE_DIR" -DCMAKE_BUILD_TYPE=Release \
+      -DHIRE_WERROR=ON >/dev/null || fail "cmake configure (werror)"
+  cmake --build "$build_dir" -j "$JOBS" \
+      || fail "a compiler warning (or error) in the -Werror build"
+  echo "PASS: every target builds warning-free"
+}
 
 run_pass() {
   local sanitizers="$1"
@@ -69,6 +83,7 @@ run_pass() {
 if [ -n "${HIRE_SANITIZERS:-}" ]; then
   run_pass "$HIRE_SANITIZERS" "$BUILD_DIR"
 else
+  werror_pass "$BUILD_DIR-werror"
   run_pass address,undefined "$BUILD_DIR"
   run_pass thread "$BUILD_DIR-thread"
 fi

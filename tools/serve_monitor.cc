@@ -398,7 +398,9 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
       if (!scrape_once(&last)) return 2;
       const WindowStats window = Diff(previous, last);
-      PrintRow("w" + std::to_string(i + 1), window);
+      std::string label = "w";
+      label += std::to_string(i + 1);
+      PrintRow(label, window);
       PrintShardBalance(window);
       previous = last;
     }
